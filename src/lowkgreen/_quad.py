@@ -1,10 +1,24 @@
 """Piecewise Chebyshev representation with adaptive panel refinement.
 
-Functions are fit panel-by-panel at Chebyshev-Lobatto nodes; a panel is
-split when the trailing Chebyshev coefficients fail to fall below the
-requested tolerance relative to the panel scale.  Antiderivatives of the
-interpolant are exact and evaluable anywhere, which is what lets nested
+A function is held as arrays: ``edges`` of shape (panels + 1,) and
+``coefs`` of shape (panels, m), where row i is the Chebyshev series of the
+function on [edges[i], edges[i+1]] mapped to [-1, 1].  Fits have m = 17
+(degree 16, Chebyshev-Lobatto nodes); antiderivatives have m = 18.
+Evaluation locates every point's panel with one ``searchsorted`` and runs
+one Clenshaw recurrence over all points; antiderivatives integrate every
+panel with one ``chebint`` along the coefficient axis.  Antiderivatives of
+the interpolant are exact and evaluable anywhere, which is what lets nested
 ordered integrals be computed one cumulative pass at a time.
+
+``build_chebfun`` refines breadth-first: every panel still pending at one
+depth is sampled in a single call of the integrand and transformed in a
+single DCT-I.  A panel is split when its trailing Chebyshev coefficients
+fail to fall below the requested tolerance relative to the panel scale,
+or when two probe points off the nodes disagree with the interpolant.
+That decision depends only on the panel itself (its ends, depth, parent
+tail and stall count), never on its neighbours or on the order in which
+panels are visited, so the breadth-first pass keeps exactly the leaves,
+and the sample points, of a depth-first recursion.
 """
 
 from __future__ import annotations
@@ -19,30 +33,62 @@ from .errors import ToleranceNotMet
 DEGREE = 16
 # Lobatto nodes cos(pi*j/n), j = 0..n (descending 1 -> -1)
 _NODES = np.cos(np.pi * np.arange(DEGREE + 1) / DEGREE)
+# off-node points guarding against deceptive node agreement
+_PROBES = np.array([-0.5219, 0.3874])
 
 
 def cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at the Lobatto nodes (DCT-I)."""
-    n = len(values) - 1
-    ext = np.concatenate([values, values[-2:0:-1]])
-    c = np.fft.rfft(ext).real / n
-    c[0] *= 0.5
-    c[n] *= 0.5
-    return c[: n + 1]
+    """Chebyshev coefficients from values at the Lobatto nodes (DCT-I).
+
+    The transform runs along the last axis, so a (panels, n + 1) array of
+    samples gives one coefficient row per panel.
+    """
+    n = values.shape[-1] - 1
+    ext = np.concatenate([values, values[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real / n
+    c[..., 0] *= 0.5
+    c[..., n] *= 0.5
+    return c[..., : n + 1]
 
 
-def _panel_integral(coef: np.ndarray, width: float) -> float:
-    k = np.arange(0, len(coef), 2)
-    return 0.5 * width * float(np.sum(2.0 * coef[k] / (1.0 - k * k)))
+def _clenshaw(coefs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``chebval`` at each t[i] with the coefficients ``coefs[rows[i]]``.
+
+    The same recurrence, in the same order, as numpy's ``chebval``; the
+    coefficients are gathered one column at a time, so memory stays
+    proportional to the number of points.
+    """
+    m = coefs.shape[1]
+    x2 = 2 * t
+    c0 = coefs[rows, m - 2]
+    c1 = coefs[rows, m - 1]
+    for i in range(3, m + 1):
+        tmp = c0
+        c0 = coefs[rows, m - i] - c1
+        c1 = tmp + c1 * x2
+    return c0 + c1 * t
+
+
+def _sample(f, a, b, t):
+    """``f`` at the points t (on [-1, 1]) of every panel [a, b], one call."""
+    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
+    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    bad = ~np.all(np.isfinite(vals), axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ToleranceNotMet(
+            f"integrand is not finite on [{a[i]:g}, {b[i]:g}] "
+            "(weight overflow; tail cut too deep?)")
+    return vals
 
 
 class PiecewiseChebFun:
     """A function stored as Chebyshev coefficients on contiguous panels."""
 
-    def __init__(self, edges, coef_list):
+    def __init__(self, edges, coefs, fit_residual: float = 0.0):
         self.edges = np.asarray(edges, dtype=float)
-        self.coefs = list(coef_list)
-        self.fit_residual = 0.0
+        self.coefs = np.asarray(coefs, dtype=float)
+        self.fit_residual = fit_residual
 
     @property
     def lo(self):
@@ -54,19 +100,13 @@ class PiecewiseChebFun:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
         # constant extension outside the domain
-        zc = np.clip(zz, self.lo, self.hi)
+        zc = np.clip(z.ravel(), self.lo, self.hi)
         idx = np.clip(np.searchsorted(self.edges, zc, side="right") - 1,
                       0, len(self.coefs) - 1)
-        out = np.empty_like(zc)
-        for i in np.unique(idx):
-            sel = idx == i
-            a, b = self.edges[i], self.edges[i + 1]
-            t = (2.0 * zc[sel] - a - b) / (b - a)
-            out[sel] = _cheb.chebval(t, self.coefs[i])
-        return float(out[0]) if scalar else out
+        a, b = self.edges[idx], self.edges[idx + 1]
+        out = _clenshaw(self.coefs, idx, (2.0 * zc - a - b) / (b - a))
+        return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     def antiderivative(self, from_right: bool = False) -> "PiecewiseChebFun":
         """Cumulative integral vanishing at the left (or right) domain end.
@@ -74,98 +114,97 @@ class PiecewiseChebFun:
         Offsets are accumulated from the anchored end so that values near it
         stay accurate relative to the local scale (no global cancellation).
         """
-        widths = np.diff(self.edges)
-        locals_ = []
-        panel_totals = []
-        for coef, w in zip(self.coefs, widths):
-            ic = _cheb.chebint(coef) * (0.5 * w)
-            edge = -1.0 if not from_right else 1.0
-            base = _cheb.chebval(edge, ic)
-            jc = ic if not from_right else -ic
-            jc = jc.copy()
-            jc[0] -= _cheb.chebval(edge, jc)
-            locals_.append(jc)
-            panel_totals.append(_cheb.chebval(1.0, ic) - base
-                                if not from_right else base - _cheb.chebval(-1.0, ic))
-        panel_totals = np.asarray(panel_totals)
+        ic = _cheb.chebint(self.coefs, axis=1) * (0.5 * np.diff(self.edges))[:, None]
+        left = _cheb.chebval(-1.0, ic.T)
+        right = _cheb.chebval(1.0, ic.T)
+        totals = right - left
         if not from_right:
-            offsets = np.concatenate([[0.0], np.cumsum(panel_totals)])[:-1]
+            # each panel's integral from its own left end
+            ic[:, 0] -= left
+            offsets = np.concatenate([[0.0], np.cumsum(totals)])[:-1]
         else:
-            offsets = np.concatenate([np.cumsum(panel_totals[::-1])[::-1], [0.0]])[1:]
-        out = []
-        for jc, off in zip(locals_, offsets):
-            kc = jc.copy()
-            kc[0] += off
-            out.append(kc)
-        return PiecewiseChebFun(self.edges, out)
+            # each panel's integral up to its own right end; chebval is odd
+            # in the coefficients, so -right is exactly its value for -ic
+            ic = -ic
+            ic[:, 0] += right
+            offsets = np.concatenate([np.cumsum(totals[::-1])[::-1], [0.0]])[1:]
+        ic[:, 0] += offsets
+        return PiecewiseChebFun(self.edges, ic)
 
     def integral(self) -> float:
-        return float(sum(_panel_integral(c, w)
-                         for c, w in zip(self.coefs, np.diff(self.edges))))
-
-    def scale(self) -> float:
-        return max((float(np.max(np.abs(c))) for c in self.coefs), default=0.0)
+        k = np.arange(0, DEGREE + 1, 2)
+        t = 2.0 * self.coefs[:, k] / (1.0 - k * k)
+        # a panel's nine terms are added in the order np.sum adds nine
+        # values (eight pairwise, then the ninth) and the panels left to
+        # right, so the value equals a panel-at-a-time sum bit for bit
+        p = (((t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3]))
+             + ((t[:, 4] + t[:, 5]) + (t[:, 6] + t[:, 7]))) + t[:, 8]
+        return float(sum((0.5 * np.diff(self.edges) * p).tolist()))
 
 
 def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> PiecewiseChebFun:
     """Adaptively fit ``f`` on [edges[0], edges[-1]] with mandatory breakpoints.
 
-    ``abs_floor`` is the magnitude below which a panel counts as zero.
-    Panels that fail to converge are tolerated if, after the whole domain is
-    fitted, their residual is negligible against the global scale (this is
-    what rounding noise near breakpoints and deep tails looks like).
+    ``f`` must act elementwise on a 1-D array of points.  ``abs_floor`` is
+    the magnitude below which a panel counts as zero.  Panels that fail to
+    converge are tolerated if, after the whole domain is fitted, their
+    residual is negligible against the global scale (this is what rounding
+    noise near breakpoints and deep tails looks like).
     """
     edges = np.asarray(sorted(set(float(e) for e in edges)), dtype=float)
     if len(edges) < 2:
         raise ValueError("need at least two edges")
-    out_edges = [edges[0]]
-    out_coefs = []
-    unconverged = []
-
-    def fit(a, b, depth, prev_tail, stalls):
-        x = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-        vals = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ToleranceNotMet(
-                f"integrand is not finite on [{a:g}, {b:g}] "
-                "(weight overflow; tail cut too deep?)")
-        coef = cheb_coeffs(vals)
-        scale = float(np.max(np.abs(coef)))
-        tail = float(np.max(np.abs(coef[-2:])))
-        degenerate = (b - a) <= 1e-14 * max(1.0, abs(a), abs(b))
-        ok = tail <= rel_tol * scale or degenerate
-        if ok and not degenerate and scale > 0.0:
+    # the pending panels of one refinement generation, all at one depth
+    a, b = edges[:-1], edges[1:]
+    prev_tail = np.full(len(a), math.inf)
+    stalls = np.zeros(len(a), dtype=int)
+    leaves_a, leaves_b, leaves_coef, unconverged = [], [], [], []
+    depth = 0
+    while a.size:
+        coef = cheb_coeffs(_sample(f, a, b, _NODES))
+        scale = np.max(np.abs(coef), axis=1)
+        tail = np.max(np.abs(coef[:, -2:]), axis=1)
+        degenerate = (b - a) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        ok = (tail <= rel_tol * scale) | degenerate
+        probe = np.flatnonzero(ok & ~degenerate & (scale > 0.0))
+        if probe.size:
             # guard against deceptive node agreement
-            tprobe = np.array([-0.5219, 0.3874])
-            zprobe = 0.5 * (a + b) + 0.5 * (b - a) * tprobe
-            resid = float(np.max(np.abs(np.asarray(f(zprobe), dtype=float)
-                                        - _cheb.chebval(tprobe, coef))))
-            ok = resid <= 10.0 * rel_tol * scale
-            tail = max(tail, resid / 10.0)
+            rows = np.repeat(probe, len(_PROBES))
+            fit = _clenshaw(coef, rows, np.tile(_PROBES, probe.size))
+            resid = np.max(np.abs(_sample(f, a[probe], b[probe], _PROBES)
+                                  - fit.reshape(-1, len(_PROBES))), axis=1)
+            ok[probe] = resid <= 10.0 * rel_tol * scale[probe]
+            tail[probe] = np.maximum(tail[probe], resid / 10.0)
         # rounding noise does not improve under subdivision while smooth
         # structure improves spectrally, so a tail that shrinks by less than
         # a factor of ~3 per split has hit the double-precision floor of the
         # sampled values
-        stalls = stalls + 1 if tail > 0.3 * prev_tail else 0
-        if ok or depth >= max_depth or stalls >= 2:
-            if not ok:
-                unconverged.append(tail)
-            out_edges.append(b)
-            out_coefs.append(coef)
-            return
+        stalls = np.where(tail > 0.3 * prev_tail, stalls + 1, 0)
+        done = ok | (depth >= max_depth) | (stalls >= 2)
+        leaves_a.append(a[done])
+        leaves_b.append(b[done])
+        leaves_coef.append(coef[done])
+        unconverged.append(tail[done & ~ok])
+        split = ~done
+        a, b = a[split], b[split]
         mid = 0.5 * (a + b)
-        fit(a, mid, depth + 1, tail, stalls)
-        fit(mid, b, depth + 1, tail, stalls)
+        a, b = (np.column_stack([a, mid]).ravel(),
+                np.column_stack([mid, b]).ravel())
+        prev_tail = np.repeat(tail[split], 2)
+        stalls = np.repeat(stalls[split], 2)
+        depth += 1
 
-    for a, b in zip(edges[:-1], edges[1:]):
-        fit(a, b, 0, math.inf, 0)
-    fun = PiecewiseChebFun(out_edges, out_coefs)
-    fun.fit_residual = rel_tol
-    if unconverged:
-        global_scale = max(fun.scale(), abs_floor)
-        worst = max(unconverged) / global_scale
+    lefts, rights = np.concatenate(leaves_a), np.concatenate(leaves_b)
+    order = np.lexsort((rights, lefts))
+    out_edges = np.concatenate([edges[:1], rights[order]])
+    coefs = np.concatenate(leaves_coef)[order]
+    unconverged = np.concatenate(unconverged)
+    fit_residual = rel_tol
+    if unconverged.size:
+        global_scale = max(float(np.max(np.abs(coefs))), abs_floor)
+        worst = float(np.max(unconverged)) / global_scale
         if worst > 1e3 * rel_tol:
             raise ToleranceNotMet(
                 f"panel refinement hit max depth with residual {worst:.2e}")
-        fun.fit_residual = max(rel_tol, worst)
-    return fun
+        fit_residual = max(rel_tol, worst)
+    return PiecewiseChebFun(out_edges, coefs, fit_residual=fit_residual)

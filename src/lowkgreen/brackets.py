@@ -295,8 +295,8 @@ def _run_chain(weights, model, cfg, lo, hi, from_right):
         err += fit.fit_residual
         prev = fit.antiderivative(from_right=from_right)
         edges = prev.edges
-    prev.fit_residual = err + cfg.truncation_tail_tol
-    return prev
+    return PiecewiseChebFun(prev.edges, prev.coefs,
+                            fit_residual=err + cfg.truncation_tail_tol)
 
 
 def eval_bracket(spec: BracketSpec, model: PotentialModel,
