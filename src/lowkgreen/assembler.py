@@ -26,11 +26,12 @@ from ._quad import build_chebfun
 from .brackets import BracketKind, BracketSpec, QuadratureConfig, eval_bracket
 from .coeffgen import (
     CoefficientEvaluator,
+    Family,
     Side,
     a_terms,
-    b_terms,
     btilde_terms,
     gamma_series,
+    term_table,
 )
 from .errors import (
     BranchAmbiguity,
@@ -102,16 +103,42 @@ class ExpansionResult:
         }
 
 
+#: the coefficient family behind each end of the interval, by case:
+#: finite-limit sides take the a-family, +infinity sides the b-family and
+#: -infinity sides the b~-family, through its gamma series.  Both the
+#: series assembly and the ``--show-terms`` listing read this table.
+CASE_FAMILIES = {
+    CaseTag.I: ((Family.A, Side.RIGHT), (Family.A, Side.LEFT)),
+    CaseTag.II: ((Family.A, Side.RIGHT), (Family.B, Side.LEFT)),
+    CaseTag.III: ((Family.A, Side.RIGHT), (Family.BTILDE, Side.LEFT)),
+    CaseTag.IV: ((Family.B, Side.RIGHT), (Family.B, Side.LEFT)),
+    CaseTag.V: ((Family.B, Side.RIGHT), (Family.BTILDE, Side.LEFT)),
+    CaseTag.VI: ((Family.BTILDE, Side.RIGHT), (Family.BTILDE, Side.LEFT)),
+}
+
+#: lowest s-order each family feeds; only the a-family feeds even orders
+_LOWEST_ORDER = {Family.A: 0, Family.B: 1, Family.BTILDE: -1}
+
+
+def family_orders(family: Family, top: int) -> range:
+    """The s-orders up to ``top`` that a coefficient family feeds."""
+    return range(_LOWEST_ORDER[family], top + 1, 1 if family is Family.A else 2)
+
+
+def _s_min(case: CaseTag) -> int:
+    return min(_LOWEST_ORDER[f] for f, _ in CASE_FAMILIES[case])
+
+
+def _odd_only(case: CaseTag) -> bool:
+    """Whether every even s-order vanishes (no side takes the a-family)."""
+    return all(f is not Family.A for f, _ in CASE_FAMILIES[case])
+
+
 def _needed_s_order(case: CaseTag, n_target: int) -> int:
-    if case in (CaseTag.I, CaseTag.II):
-        return n_target + 1
-    if case is CaseTag.III:
-        return max(n_target - 1, -1)
-    if case is CaseTag.IV:
-        m = n_target + 3
-        return m if m % 2 == 1 else m + 1
-    m = max(n_target - 1, -1)
-    if m >= 1 and m % 2 == 0:
+    # G through order N takes the s-series N - (leading G order) orders
+    # past its own lowest order
+    m = _s_min(case) + n_target - _G_MIN_ORDER[case]
+    if _odd_only(case) and m >= 1 and m % 2 == 0:
         m += 1
     return m
 
@@ -145,104 +172,113 @@ class _GammaField:
         return out
 
 
+def _summed(fns):
+    """The sum of coefficient functions, added in order onto zeros."""
+    def s(z):
+        acc = np.zeros_like(z)
+        for fn in fns:
+            acc = acc + fn(z)
+        return acc
+    return s
+
+
+def _integral(fn, a: float, b: float, breakpoints, cfg: QuadratureConfig) -> float:
+    """Oriented integral of ``fn`` from ``a`` to ``b``; zero when a == b."""
+    if a == b:
+        return 0.0
+    lo, hi = min(a, b), max(a, b)
+    fit = build_chebfun(fn, [lo, hi] + [p for p in breakpoints if lo < p < hi],
+                        rel_tol=cfg.rel_tol, abs_floor=cfg.abs_tol,
+                        max_depth=cfg.max_depth)
+    return fit.integral() if a < b else -fit.integral()
+
+
 class _SeriesEngine:
-    """Per-case coefficient functions s_n(z) for one model on [lo, hi]."""
+    """The series pipeline shared by both expansion routes.
 
-    def __init__(self, model: PotentialModel, case: CaseTag,
-                 cfg: QuadratureConfig, lo: float, hi: float, s_top: int):
-        self.model = model
+    ``fns`` maps an order of S(x,k) - 1 to its coefficient function s_n(z);
+    the orders from the case's lowest through ``top`` that it lacks are
+    identically zero.  The case also fixes whether the series is odd-only
+    (and so knows the order after ``top``) and the sign of G.
+    """
+
+    def __init__(self, fns, case: CaseTag, top: int, breakpoints,
+                 cfg: QuadratureConfig):
+        self.fns = fns
         self.case = case
+        self.lo = _s_min(case)
+        self.top = top
+        self.odd_only = _odd_only(case)
+        self.breakpoints = breakpoints
         self.cfg = cfg
-        self.ev = CoefficientEvaluator(model, cfg, lo, hi)
-        self.s_top = s_top
-        self.parts = {}  # order -> list of callables
-        self._gammas = {}
-        self._build()
-
-    def s_min(self) -> int:
-        if self.case in (CaseTag.III, CaseTag.V, CaseTag.VI):
-            return -1
-        if self.case is CaseTag.IV:
-            return 1
-        return 0
-
-    def _gamma(self, side: Side) -> _GammaField:
-        if side not in self._gammas:
-            self._gammas[side] = _GammaField(self.ev, side, self.s_top)
-        return self._gammas[side]
-
-    def _build(self):
-        case, top = self.case, self.s_top
-        for n in range(self.s_min(), top + 1):
-            fns = []
-            if case in (CaseTag.I, CaseTag.II) or \
-               (case is CaseTag.III and n >= 0):
-                fns.append(self.ev.coeff_fn(a_terms(n, Side.RIGHT)))
-            if case is CaseTag.I:
-                fns.append(self.ev.coeff_fn(a_terms(n, Side.LEFT)))
-            if case in (CaseTag.II, CaseTag.IV) and n >= 1 and n % 2 == 1:
-                fns.append(self.ev.coeff_fn(b_terms(n, Side.LEFT)))
-            if case in (CaseTag.IV, CaseTag.V) and n >= 1 and n % 2 == 1:
-                fns.append(self.ev.coeff_fn(b_terms(n, Side.RIGHT)))
-            self.parts[n] = fns
-        if case in (CaseTag.III, CaseTag.V, CaseTag.VI):
-            self._gamma(Side.LEFT)
-        if case is CaseTag.VI:
-            self._gamma(Side.RIGHT)
-
-    def s_values(self, z) -> Dict[int, np.ndarray]:
-        """All coefficient functions evaluated on an array of positions."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = {n: np.zeros_like(z) for n in range(self.s_min(), self.s_top + 1)}
-        for n, fns in self.parts.items():
-            for fn in fns:
-                out[n] = out[n] + fn(z)
-        for side in self._gammas:
-            gv = self._gammas[side].at(z)
-            for n in range(-1, self.s_top + 1):
-                if n == -1 or n % 2 == 1:
-                    out[n] = out[n] + gv[n]
-        return out
 
     def series_at(self, z: float) -> LaurentSeries:
-        vals = self.s_values(np.array([float(z)]))
-        lo = self.s_min()
-        coeffs = [vals[n][0] for n in range(lo, self.s_top + 1)]
-        trunc = self.s_top
-        if self.case in (CaseTag.IV, CaseTag.V, CaseTag.VI):
+        zz = np.array([float(z)])
+        coeffs = [self.fns[n](zz)[0] if n in self.fns else 0.0
+                  for n in range(self.lo, self.top + 1)]
+        trunc = self.top
+        if self.odd_only:
             # the next even coefficient is identically zero
             coeffs.append(0.0)
             trunc += 1
-        return LaurentSeries(lo, coeffs, trunc=trunc)
+        return LaurentSeries(self.lo, coeffs, trunc=trunc)
 
     def q_dict(self, y: float, x: float,
                exact: Optional[Dict[int, float]] = None) -> Dict[int, float]:
-        """q_n = -integral_y^x s_{n-1} for every available order."""
+        """q_n = -integral_y^x s_{n-1} for every available order; ``exact``
+        holds the orders known in closed form."""
         out = {} if exact is None else dict(exact)
-        edges = [y, x] + [b for b in self.model.breakpoints if y < b < x]
-        for n in range(self.s_min(), self.s_top + 1):
-            m = n + 1
-            if m in out:
-                continue
-            if self.case in (CaseTag.IV, CaseTag.V, CaseTag.VI) and n % 2 == 0 \
-                    and n != -1:
-                out[m] = 0.0
-                continue
-            if x == y:
-                out[m] = 0.0
-                continue
-            fn = lambda z, n=n: self.s_values(z)[n]
-            fit = build_chebfun(fn, edges, rel_tol=self.cfg.rel_tol,
-                                abs_floor=self.cfg.abs_tol,
-                                max_depth=self.cfg.max_depth)
-            out[m] = -fit.integral()
-        if self.case in (CaseTag.IV, CaseTag.V, CaseTag.VI):
-            out[self.s_top + 2] = 0.0
+        for n in range(self.lo, self.top + 1):
+            if n + 1 not in out:
+                out[n + 1] = (_integral(self.fns[n], x, y, self.breakpoints, self.cfg)
+                              if n in self.fns else 0.0)
+        if self.odd_only:
+            out[self.top + 2] = 0.0
         return out
 
+    def expansion(self, x: float, y: float, N: int,
+                  exact: Optional[Dict[int, float]] = None):
+        """(s_x, s_y, q, real part of G, worst imaginary part, achieved order)."""
+        sx = self.series_at(x)
+        sy = self.series_at(y)
+        q = self.q_dict(y, x, exact)
+        g = _assemble_g(sx, sy, _q_series(q), self.case)
+        imag_worst = max(g.max_imag(), sx.max_imag(), sy.max_imag())
+        g = g.real_part_series()
+        return sx, sy, q, g, imag_worst, min(N, g.trunc)
 
-def _q_series(q: Dict[int, float], trunc: int) -> LaurentSeries:
-    lo = min(q)
+
+def _case_engine(model: PotentialModel, case: CaseTag, cfg: QuadratureConfig,
+                 lo: float, hi: float, s_top: int) -> _SeriesEngine:
+    """The classified route's engine for positions in [lo, hi]."""
+    ev = CoefficientEvaluator(model, cfg, lo, hi)
+    parts = {}
+    for family, side in CASE_FAMILIES[case]:
+        if family is Family.BTILDE:
+            gamma = _GammaField(ev, side, s_top)
+        for n in family_orders(family, s_top):
+            if family is Family.BTILDE:
+                fn = lambda z, n=n, gamma=gamma: gamma.at(z)[n]
+            else:
+                fn = ev.coeff_fn(term_table(family, n, side))
+            parts.setdefault(n, []).append(fn)
+    return _SeriesEngine({n: _summed(fns) for n, fns in parts.items()},
+                         case, s_top, model.breakpoints, cfg)
+
+
+def _oriented(model: PotentialModel, x: float, y: float):
+    """(case, reflected, model, x, y): the model in its classified
+    orientation and the positions, ordered x >= y, mapped onto it."""
+    if x < y:
+        x, y = y, x
+    case, reflected = classification(model)
+    if reflected:
+        return case, reflected, model.reflected(), -y, -x
+    return case, reflected, model, x, y
+
+
+def _q_series(q: Dict[int, float]) -> LaurentSeries:
+    lo, trunc = min(q), max(q)
     coeffs = [q.get(n, 0.0) for n in range(lo, trunc + 1)]
     return LaurentSeries(lo, coeffs, trunc=trunc)
 
@@ -266,65 +302,40 @@ def _assemble_g(sx: LaurentSeries, sy: LaurentSeries, qser: LaurentSeries,
 def s_series(model: PotentialModel, x: float, N: int,
              cfg: QuadratureConfig = QuadratureConfig()) -> LaurentSeries:
     """Coefficients of S(x,k) - 1 through order N at one position."""
-    case, reflected = classification(model)
+    case, _, m, x, _ = _oriented(model, x, x)
     if N > max_valid_order(model):
         raise OrderExceedsValidity(
             f"order {N} exceeds validity {max_valid_order(model)}")
-    m = model
-    if reflected:
-        m = model.reflected()
-        x = -x
-    eng = _SeriesEngine(m, case, cfg, x, x, N)
-    return eng.series_at(x)
+    return _case_engine(m, case, cfg, x, x, N).series_at(x)
 
 
 def q_values(model: PotentialModel, x: float, y: float, N: int,
              cfg: QuadratureConfig = QuadratureConfig()) -> Dict[int, float]:
     """q_n(x, y) for n up to N + 1 (N is the coefficient order used)."""
-    if x < y:
-        x, y = y, x
-    case, reflected = classification(model)
-    m = model
-    if reflected:
-        m = model.reflected()
-        x, y = -y, -x
-    eng = _SeriesEngine(m, case, cfg, y, x, N)
-    return eng.q_dict(y, x)
+    case, _, m, x, y = _oriented(model, x, y)
+    return _case_engine(m, case, cfg, y, x, N).q_dict(y, x)
 
 
 def green_series(model: PotentialModel, x: float, y: float, N: int,
                  cfg: QuadratureConfig = QuadratureConfig()) -> ExpansionResult:
     """Green-function expansion through order N via the series pipeline."""
     xo, yo = float(x), float(y)
-    if x < y:
-        x, y = y, x
-    case, reflected = classification(model)
+    case, reflected, m, x, y = _oriented(model, x, y)
     validity = max_valid_order(model)
     if N > validity:
         raise OrderExceedsValidity(f"order {N} exceeds validity {validity}")
     if N < _G_MIN_ORDER[case]:
         raise OrderExceedsValidity(
             f"order {N} below the leading order {_G_MIN_ORDER[case]}")
-    m = model
-    if reflected:
-        m = model.reflected()
-        x, y = -y, -x
     s_top = _needed_s_order(case, N)
-    eng = _SeriesEngine(m, case, cfg, y, x, s_top)
-    sx = eng.series_at(x)
-    sy = eng.series_at(y)
-    q = eng.q_dict(y, x)
-    qser = _q_series(q, max(q) if q else 0)
-    g = _assemble_g(sx, sy, qser, case)
-    imag_worst = max(g.max_imag(), sx.max_imag(), sy.max_imag())
-    g = g.real_part_series()
+    eng = _case_engine(m, case, cfg, y, x, s_top)
+    sx, sy, q, g, imag_worst, achieved = eng.expansion(x, y, N)
     parity_worst = 0.0
-    if case in (CaseTag.IV, CaseTag.V, CaseTag.VI):
+    if _odd_only(case):
         scale = max(abs(g.coeff_or_zero(n)) for n in range(g.min_order, g.trunc + 1))
         for n in range(g.min_order, g.trunc + 1):
             if (n - g.min_order) % 2 == 1:
                 parity_worst = max(parity_worst, abs(g.coeff_or_zero(n)) / scale)
-    achieved = min(N, g.trunc)
     return ExpansionResult(
         case_tag=case, x=xo, y=yo, N=achieved,
         g=g.truncated(achieved), s_x=sx, s_y=sy,
@@ -494,30 +505,13 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
     eng_l = CoefficientEvaluator(m_plus, cfg, y, x)
     fns = {-1: s_minus_one}
     for n in range(0, s_top + 1):
-        fr = eng_r.coeff_fn(a_terms(n, Side.RIGHT))
-        fl = eng_l.coeff_fn(a_terms(n, Side.LEFT))
-        fns[n] = (lambda z, fr=fr, fl=fl: fr(z) + fl(z))
-
-    def series_at(z):
-        coeffs = [float(fns[n](np.array([z]))[0]) for n in range(-1, s_top + 1)]
-        return LaurentSeries(-1, coeffs, trunc=s_top)
-
-    sx = series_at(x)
-    sy = series_at(y)
+        fns[n] = _summed([eng_r.coeff_fn(a_terms(n, Side.RIGHT)),
+                          eng_l.coeff_fn(a_terms(n, Side.LEFT))])
+    eng = _SeriesEngine(fns, CaseTag.III, s_top, model.breakpoints, cfg)
     # q0 has the closed form from integrating the slopes of the log-solutions
     q0 = 0.25 * float((m_minus.V(x) - m_minus.V(y)
                        - m_plus.V(x) + m_plus.V(y))[0])
-    q = {0: q0}
-    edges = [y, x] + [b for b in model.breakpoints if y < b < x]
-    for n in range(0, s_top + 1):
-        fit = build_chebfun(fns[n], edges, rel_tol=cfg.rel_tol,
-                            abs_floor=cfg.abs_tol, max_depth=cfg.max_depth)
-        q[n + 1] = -fit.integral()
-    qser = _q_series(q, max(q))
-    g = _assemble_g(sx, sy, qser, CaseTag.III)
-    imag_worst = g.max_imag()
-    g = g.real_part_series()
-    achieved = min(N, g.trunc)
+    sx, sy, q, g, imag_worst, achieved = eng.expansion(x, y, N, exact={0: q0})
 
     # the printed order-0/1 forms in terms of the zero-energy data
     vmx, dmx = psi_m.value_and_slope(x)
@@ -538,10 +532,8 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
     if achieved >= 1:
         evm = lambda z: float(m_minus.V(np.array([z]))[0])
         evp = lambda z: float(m_plus.V(np.array([z]))[0])
-        fit = build_chebfun(
-            lambda z: np.exp(m_minus.V(z)) + np.exp(m_plus.V(z)),
-            edges, rel_tol=cfg.rel_tol, abs_floor=cfg.abs_tol)
-        integ = fit.integral()
+        integ = _integral(lambda z: np.exp(m_minus.V(z)) + np.exp(m_plus.V(z)),
+                          y, x, model.breakpoints, cfg)
         g1_ref = 0.5 * (integ
                         + (math.exp(evm(x)) + math.exp(evp(x))) / (fmx - fpx)
                         + (math.exp(evm(y)) + math.exp(evp(y))) / (fmy - fpy)) \

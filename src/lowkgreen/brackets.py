@@ -74,7 +74,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "truncation_tail_tol"):
-            if getattr(self, name) <= 0:
+            # NaN fails every comparison, so it must not pass as positive:
+            # a NaN rel_tol refines every panel to max_depth
+            if not getattr(self, name) > 0:
                 raise InvalidSpec(f"{name} must be positive")
         if self.max_depth <= 0:
             raise InvalidSpec("max_depth must be positive")
@@ -211,34 +213,19 @@ def _initial_edges(model, lo, hi):
     return sorted(edges)
 
 
-class BracketChain:
-    """Cumulative evaluation of one bracket family against one model.
-
-    ``fun`` is the depth-n cumulative integral as a function of the open
-    end: for a left-anchored chain (lower end fixed, possibly truncated
-    from -infinity) it maps upper limits to values; for a right-anchored
-    chain it maps lower limits.
-    """
-
-    def __init__(self, spec, model, cfg, fun, open_side, est_error):
-        self.spec = spec
-        self.model = model
-        self.cfg = cfg
-        self.fun = fun
-        self.open_side = open_side
-        self.est_error = est_error
-
-    def __call__(self, z):
-        return self.fun(z)
-
-
 def build_chain(spec: BracketSpec, model: PotentialModel,
-                cfg: QuadratureConfig, open_anchor: Optional[float] = None) -> BracketChain:
+                cfg: QuadratureConfig,
+                open_anchor: Optional[float] = None) -> PiecewiseChebFun:
     """Build the cumulative chain, choosing the anchored end automatically.
 
-    ``open_anchor`` bounds the variable end (the largest upper limit that
-    will be requested for a left-anchored chain, or the smallest lower
-    limit for a right-anchored one).
+    The chain is the depth-n cumulative integral as a function of the open
+    end: for a left-anchored chain (lower end fixed, possibly truncated
+    from -infinity) it maps upper limits to values; for a right-anchored
+    chain (upper end +infinity, lower end finite) it maps lower limits.
+    Its ``fit_residual`` is the relative error estimate.  ``open_anchor``
+    bounds the variable end (the largest upper limit that will be
+    requested for a left-anchored chain, or the smallest lower limit for a
+    right-anchored one).
     """
     weights = _weight_factory(model, spec)
     lo, hi = spec.lower, spec.upper
@@ -252,8 +239,7 @@ def build_chain(spec: BracketSpec, model: PotentialModel,
         decay_r = _edge_weight_decay(model, spec, "right")
         cut_lo = _clip_overflow(weights, 0.0, _find_cut(weights[0], 0.0, -1, n, decay_l, cfg))
         cut_hi = _clip_overflow(weights, 0.0, _find_cut(weights[0], 0.0, +1, n, decay_r, cfg))
-        fun = _run_chain(weights, model, cfg, cut_lo, cut_hi, from_right=False)
-        return BracketChain(spec, model, cfg, fun, "upper", fun.fit_residual)
+        return _run_chain(weights, model, cfg, cut_lo, cut_hi, from_right=False)
 
     if math.isinf(lo):
         anchor = hi if open_anchor is None else max(hi, open_anchor)
@@ -262,20 +248,17 @@ def build_chain(spec: BracketSpec, model: PotentialModel,
         decay = _edge_weight_decay(model, spec, "left")
         cut = _clip_overflow(weights, anchor,
                              _find_cut(weights[0], anchor, -1, n, decay, cfg))
-        fun = _run_chain(weights, model, cfg, cut, anchor, from_right=False)
-        return BracketChain(spec, model, cfg, fun, "upper", fun.fit_residual)
+        return _run_chain(weights, model, cfg, cut, anchor, from_right=False)
 
     if math.isinf(hi):
         anchor = lo if open_anchor is None else min(lo, open_anchor)
         decay = _edge_weight_decay(model, spec, "right")
         cut = _clip_overflow(weights, anchor,
                              _find_cut(weights[-1], anchor, +1, n, decay, cfg))
-        fun = _run_chain(weights, model, cfg, anchor, cut, from_right=True)
-        return BracketChain(spec, model, cfg, fun, "lower", fun.fit_residual)
+        return _run_chain(weights, model, cfg, anchor, cut, from_right=True)
 
     top = hi if open_anchor is None else max(hi, open_anchor)
-    fun = _run_chain(weights, model, cfg, lo, top, from_right=False)
-    return BracketChain(spec, model, cfg, fun, "upper", fun.fit_residual)
+    return _run_chain(weights, model, cfg, lo, top, from_right=False)
 
 
 def _run_chain(weights, model, cfg, lo, hi, from_right):
@@ -299,14 +282,18 @@ def _run_chain(weights, model, cfg, lo, hi, from_right):
                             fit_residual=err + cfg.truncation_tail_tol)
 
 
+def chain_value(spec: BracketSpec, chain: PiecewiseChebFun) -> float:
+    """The bracket's value: its chain at the open end, which is the
+    truncation cut when that end is infinite."""
+    if math.isinf(spec.upper) and not math.isinf(spec.lower):
+        return float(chain(spec.lower))
+    return float(chain(chain.hi if math.isinf(spec.upper) else spec.upper))
+
+
 def eval_bracket(spec: BracketSpec, model: PotentialModel,
                  cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Value of the n-fold ordered integral."""
-    chain = build_chain(spec, model, cfg)
-    z = spec.upper if chain.open_side == "upper" else spec.lower
-    if math.isinf(z):
-        z = chain.fun.hi if chain.open_side == "upper" else chain.fun.lo
-    return float(chain(z))
+    return chain_value(spec, build_chain(spec, model, cfg))
 
 
 def cumulative_bracket(spec: BracketSpec, model: PotentialModel,

@@ -8,7 +8,6 @@ significant digits so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import math
@@ -18,9 +17,10 @@ import sys
 import numpy as np
 
 from . import assembler, oracle
-from .brackets import BracketKind, BracketSpec, QuadratureConfig, build_chain
+from .brackets import BracketKind, BracketSpec, QuadratureConfig, build_chain, chain_value
+from .coeffgen import term_table
 from .errors import LowkGreenError, NumericalError, UsageError
-from .potential import CaseTag, catalog, catalog_names, classification, max_valid_order
+from .potential import catalog, catalog_names, classification, max_valid_order
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -137,21 +137,12 @@ def cmd_expand(args) -> int:
     result = _expansion(args, model, cfg)
     payload = result.to_json_dict()
     if args.show_terms:
-        from .coeffgen import Family, Side, term_table
-        fams = {
-            CaseTag.I: [(Family.A, Side.RIGHT), (Family.A, Side.LEFT)],
-            CaseTag.II: [(Family.A, Side.RIGHT), (Family.B, Side.LEFT)],
-            CaseTag.III: [(Family.A, Side.RIGHT), (Family.BTILDE, Side.LEFT)],
-            CaseTag.IV: [(Family.B, Side.RIGHT), (Family.B, Side.LEFT)],
-            CaseTag.V: [(Family.B, Side.RIGHT), (Family.BTILDE, Side.LEFT)],
-            CaseTag.VI: [(Family.BTILDE, Side.RIGHT), (Family.BTILDE, Side.LEFT)],
-        }[result.case_tag]
+        top = max(result.diagnostics.get("s_order_used", args.order), 1)
+        # term tables start at order 0; the gamma series' order -1 has none
         payload["terms"] = [
             term_table(f, n, s).to_json_dict()
-            for f, s in fams
-            for n in range(0 if f is Family.A else 1,
-                           max(result.diagnostics.get("s_order_used", args.order), 1) + 1)
-            if f is Family.A or n % 2 == 1
+            for f, s in assembler.CASE_FAMILIES[result.case_tag]
+            for n in assembler.family_orders(f, top) if n >= 0
         ]
     if not (args.generic or model.vs_defined_only):
         checks = {}
@@ -169,13 +160,8 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _g_exact_grid(model, x, y, ks, scfg, jobs):
-    def one(k):
-        return oracle.green_exact(model, x, y, k, scfg).value
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, ks))
-    return [one(k) for k in ks]
+def _g_exact_grid(model, x, y, ks, scfg):
+    return [oracle.green_exact(model, x, y, k, scfg).value for k in ks]
 
 
 def cmd_compare(args) -> int:
@@ -183,7 +169,7 @@ def cmd_compare(args) -> int:
     cfg = _quad_cfg(args)
     result = _expansion(args, model, cfg)
     ks = _k_grid(args)
-    exact = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args), args.jobs)
+    exact = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args))
     orders = [n for n in range(result.g.min_order, result.N + 1)
               if result.g.coeff_or_zero(n) != 0 or n == result.N]
     p = assembler.log_form(result) if args.log_form else None
@@ -234,14 +220,11 @@ def cmd_brackets(args) -> int:
     upper = math.inf if args.upper in ("inf", "+inf", "INF") else float(args.upper)
     spec = BracketSpec(kind, signs, lower, upper)
     chain = build_chain(spec, model, cfg)
-    z = spec.upper if chain.open_side == "upper" else spec.lower
-    if math.isinf(z):
-        z = chain.fun.hi if chain.open_side == "upper" else chain.fun.lo
-    value = float(chain(z))
+    value = chain_value(spec, chain)
     payload = {"model": model.id, "kind": kind_name, "signs": signs_str,
                "lower": args.lower, "upper": args.upper,
                "value": value,
-               "error_estimate": abs(value) * chain.est_error + cfg.abs_tol,
+               "error_estimate": abs(value) * chain.fit_residual + cfg.abs_tol,
                "rel_tol": cfg.rel_tol}
     _emit_structured(args, payload)
     return 0
@@ -272,7 +255,7 @@ def cmd_scaling(args) -> int:
 def cmd_oracle(args) -> int:
     model = _model(args)
     ks = _k_grid(args)
-    vals = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args), args.jobs)
+    vals = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args))
     rows = [[k, g.real, g.imag] for k, g in zip(ks, vals)]
     _emit_table(args, _case_comment(model), ["k", "re_exact", "im_exact"], rows)
     return 0
@@ -291,7 +274,8 @@ def _add_common(p):
     p.add_argument("--ode-tol", dest="ode_tol", type=float, default=1e-10)
     p.add_argument("--epsilon-imag", dest="epsilon_imag", type=float,
                    default=1e-8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; samples run serially")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None,
@@ -399,7 +383,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if args.rel_tol is None:
             env = os.environ.get("LOWK_GREEN_TOL")
-            args.rel_tol = float(env) if env else 1e-10
+            try:
+                args.rel_tol = float(env) if env else 1e-10
+            except ValueError:
+                raise UsageError(f"LOWK_GREEN_TOL={env!r} is not a number") from None
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

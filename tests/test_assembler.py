@@ -233,20 +233,37 @@ class TestStructure:
         assert abs(r.g.coeff(-2).real / want - 1) < 1e-12
 
 
+def barrier_g0_g1(a, x, y):
+    """The printed order-0 and order-1 coefficients of the square barrier."""
+    g0 = -np.cosh(a * (x - 1)) * np.cosh(a * (y + 1)) / (a * np.sinh(2 * a))
+    t, c = np.tanh, np.cosh
+    g1 = g0 / (2 * a) * (
+        t(a * (x + 1)) + t(a * (x - 1)) - t(a * (y + 1)) - t(a * (y - 1))
+        + (1 / np.sinh(2 * a)) * (
+            c(a * (x - 1)) / c(a * (x + 1)) + c(a * (x + 1)) / c(a * (x - 1))
+            + c(a * (y - 1)) / c(a * (y + 1)) + c(a * (y + 1)) / c(a * (y - 1))))
+    return g0, g1
+
+
 class TestGenericRoute:
     def test_barrier_printed_forms(self):
         a, x, y = 1.0, 0.5, -0.5
         r = generic_expansion(catalog("barrier", a=a), x, y, 1, CFG)
-        g0 = -np.cosh(a * (x - 1)) * np.cosh(a * (y + 1)) / (a * np.sinh(2 * a))
-        t, c = np.tanh, np.cosh
-        g1 = g0 / (2 * a) * (
-            t(a * (x + 1)) + t(a * (x - 1)) - t(a * (y + 1)) - t(a * (y - 1))
-            + (1 / np.sinh(2 * a)) * (
-                c(a * (x - 1)) / c(a * (x + 1)) + c(a * (x + 1)) / c(a * (x - 1))
-                + c(a * (y - 1)) / c(a * (y + 1)) + c(a * (y + 1)) / c(a * (y - 1))))
+        g0, g1 = barrier_g0_g1(a, x, y)
         assert abs(r.g.coeff(0).real / g0 - 1) < 1e-8
         assert abs(r.g.coeff(1).real / g1 - 1) < 1e-8
         assert r.diagnostics["g0_closed_residual"] < 1e-8
+        assert r.diagnostics["g1_closed_residual"] < 1e-8
+
+    def test_coincident_points(self):
+        # x == y leaves nothing to integrate: the q-integrals and the g1
+        # closed form's integral are zero, as on the classified route
+        a, x = 1.0, 0.5
+        r = generic_expansion(catalog("barrier", a=a), x, x, 2, CFG)
+        assert r.q == {0: 0.0, 1: 0.0, 2: 0.0}
+        g0, g1 = barrier_g0_g1(a, x, x)
+        assert abs(r.g.coeff(0).real / g0 - 1) < 1e-8
+        assert abs(r.g.coeff(1).real / g1 - 1) < 1e-8
         assert r.diagnostics["g1_closed_residual"] < 1e-8
 
     def test_flat_potential_is_exceptional(self):

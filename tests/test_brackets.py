@@ -52,6 +52,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             BracketSpec(PLAIN, (2,), 0.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "truncation_tail_tol"])
+    def test_tolerances_must_be_positive(self, name):
+        for bad in (0.0, -1e-10, math.nan):
+            with pytest.raises(InvalidSpec):
+                QuadratureConfig(**{name: bad})
+
 
 class TestElementary:
     def test_unit_integrand(self):

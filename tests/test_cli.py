@@ -3,6 +3,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from lowkgreen.cli import main
 
@@ -48,17 +49,28 @@ class TestExpand:
         signs = {tt["signs"] for t in data["terms"] for tt in t["terms"]}
         assert "-" in signs
 
-    def test_show_terms_mixed_families(self, capsys):
-        code, out, _ = run(capsys, "expand", "exponential", "--x", "0.5",
-                           "--y", "0", "--order", "1", "--show-terms")
+    @pytest.mark.parametrize("name,x,y,want", [
+        ("free", "1.2", "0.3", {("a", "right"), ("a", "left")}),
+        ("exponential", "0.5", "0", {("a", "right"), ("b", "left")}),
+        ("parabolic", "1.2", "1", {("b", "right"), ("b", "left")}),
+        ("sqrtwell", "1", "-0.5", {("b", "right"), ("btilde", "left")}),
+    ], ids=["free", "exponential", "parabolic", "sqrtwell"])
+    def test_show_terms_mixed_families(self, capsys, name, x, y, want):
+        code, out, _ = run(capsys, "expand", name, "--x", x, "--y", y,
+                           "--order", "1", "--show-terms")
         assert code == 0
         data = json.loads(out)
-        fams = {(t["family"], t["side"]) for t in data["terms"]}
-        assert ("a", "right") in fams and ("b", "left") in fams
-        a0 = [t for t in data["terms"]
-              if t["family"] == "a" and t["order"] == 0][0]
-        assert a0["terms"][0]["coeff"] == "-1/2"
-        assert a0["terms"][0]["limit_exponent"] == 1
+        assert {(t["family"], t["side"]) for t in data["terms"]} == want
+        for a0 in [t for t in data["terms"]
+                   if t["family"] == "a" and t["order"] == 0]:
+            assert a0["terms"][0]["coeff"] == "-1/2"
+            assert a0["terms"][0]["limit_exponent"] == 1
+
+    def test_generic_coincident_points(self, capsys):
+        code, out, _ = run(capsys, "expand", "barrier", "--a", "1", "--generic",
+                           "--x", "0.5", "--y", "0.5", "--order", "1")
+        assert code == 0
+        assert json.loads(out)["q"]["1"] == 0.0
 
 
 class TestCompare:
@@ -183,6 +195,13 @@ class TestConfigAndEnv:
                            "--lower", "0", "--upper", "1")
         assert code == 0
         assert json.loads(out)["rel_tol"] == 1e-6
+
+    def test_env_tolerance_must_be_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOWK_GREEN_TOL", "abc")
+        code, out, err = run(capsys, "brackets", "free", "--plain", "+",
+                             "--lower", "0", "--upper", "1")
+        assert code == 2
+        assert out == "" and "LOWK_GREEN_TOL" in err
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.json"
