@@ -144,7 +144,11 @@ def _needed_s_order(case: CaseTag, n_target: int) -> int:
 
 
 class _GammaField:
-    """gamma_n as functions of position, from the odd reciprocal tables."""
+    """gamma_n as functions of position, from the odd reciprocal tables.
+
+    Every gamma-bearing order reads the same inversion, so the last one is
+    kept: asking for several orders at the same points inverts once.
+    """
 
     def __init__(self, ev: CoefficientEvaluator, side: Side, max_order: int):
         self.max_order = max_order
@@ -154,10 +158,16 @@ class _GammaField:
         self.m_top = m_top
         self.fns = {m: ev.coeff_fn(btilde_terms(m, side))
                     for m in range(1, m_top + 1, 2)}
+        self._last = (None, None)  # (z bytes, orders dict)
 
     def at(self, z):
-        """dict order -> ndarray of gamma_n over z (orders -1 .. max_order)."""
+        """dict order -> ndarray of gamma_n over z (orders -1 .. max_order).
+
+        The arrays are the kept ones: read them, do not write to them."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        key = z.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
         vals = {m: fn(z) for m, fn in self.fns.items()}
         orders = range(-1, self.max_order + 1)
         out = {n: np.zeros_like(z) for n in orders}
@@ -169,6 +179,7 @@ class _GammaField:
             g = gamma_series(series)
             for n in orders:
                 out[n][i] = g.coeff_or_zero(n).real
+        self._last = (key, out)
         return out
 
 
@@ -221,6 +232,9 @@ class _SeriesEngine:
             # the next even coefficient is identically zero
             coeffs.append(0.0)
             trunc += 1
+        if not coeffs:
+            # asked below the case's lowest order: zero, known through top
+            return LaurentSeries.zero(trunc=trunc)
         return LaurentSeries(self.lo, coeffs, trunc=trunc)
 
     def q_dict(self, y: float, x: float,

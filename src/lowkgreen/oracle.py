@@ -6,6 +6,8 @@ decaying (or outgoing) at +infinity meets the one decaying at -infinity
 and their Wronskian normalizes the product.  Boundary data at the cutoff
 comes from a second-order phase-integral approximation of the decaying or
 outgoing ray, which keeps cutoffs modest even for slowly decaying tails.
+On such tails only the log-derivative of the solution is integrated (one
+Riccati component) from the cutoff in to where the solution has structure.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,6 +56,12 @@ class SolverConfig:
 
 
 # -- boundary data -------------------------------------------------------------
+
+#: phase-integral quality (second-order correction over the leading term)
+#: below which the outgoing/decaying ray has no structure left to resolve:
+#: outward of the first ladder rung that reaches it, only the log-derivative
+#: of the solution is integrated
+RICCATI_SWITCH_QUALITY = 1e-2
 
 
 def _vs_derivs(model, z, h):
@@ -105,28 +113,34 @@ def _confining_cutoff(model, start: float, k2: complex, side: str) -> float:
 
 
 def _auto_cutoff(model, inner: float, k2: complex, side: str,
-                 cfg: SolverConfig) -> float:
+                 cfg: SolverConfig) -> Tuple[float, Optional[float]]:
+    """(cutoff, switch): where the outer boundary data are imposed, and the
+    point inward of which the linear ODE takes over from the Riccati tail
+    (None where the whole side is integrated linearly)."""
     sgn = 1.0 if side == "right" else -1.0
     vs_lim = model.vs_limit_right if side == "right" else model.vs_limit_left
     if math.isinf(vs_lim):
         if vs_lim < 0:
             raise UnsupportedAsymptotics("V_S -> -infinity is outside scope")
-        return _confining_cutoff(model, inner, k2, side)
+        return _confining_cutoff(model, inner, k2, side), None
     zero_edge = model.vs_zero_above if side == "right" else model.vs_zero_below
     if zero_edge is not None and math.isinf(zero_edge):
-        return inner
+        return inner, None
     if zero_edge is not None:
         # start safely inside the exactly-zero region, clear of the edge
         if side == "right":
-            return max(inner, zero_edge) + 0.5
-        return min(inner, zero_edge) - 0.5
+            return max(inner, zero_edge) + 0.5, None
+        return min(inner, zero_edge) - 0.5, None
     x = inner + sgn * 1.0
+    switch = None
     for _ in range(200):
         q = k2 - vs_lim - (float(model.VS(np.array([x]))[0]) - vs_lim)
         if abs(q) > 0.2 * max(abs(k2 - vs_lim), 1e-12):
             _, quality = _phase_logderiv(model, x, k2, side)
+            if switch is None and quality < RICCATI_SWITCH_QUALITY:
+                switch = x
             if quality < cfg.boundary_tol:
-                return x
+                return x, (switch if switch != x else None)
         x = inner + sgn * (abs(x - inner) * 1.5)
     raise NonconvergedODE(f"no usable {side} cutoff found")
 
@@ -135,10 +149,13 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
 
 
 class _Solution:
-    """One-directional solution with per-record log scale factors."""
+    """One-directional solution with per-record log scale factors, the
+    Riccati tail's switch point (None without one) and the ODE work."""
 
-    def __init__(self):
+    def __init__(self, switch=None):
         self.records = {}  # z -> (psi, dpsi, logscale)
+        self.switch = switch
+        self.nfev = 0
 
     def add(self, z, psi, dpsi, logscale):
         self.records[float(z)] = (psi, dpsi, logscale)
@@ -147,34 +164,68 @@ class _Solution:
         return self.records[float(z)]
 
 
-def _integrate_side(model, k2, start, stops, jump_map, cfg) -> _Solution:
+def _solve_segment(sol, rhs, here, target, state, cfg):
+    res = solve_ivp(rhs, (here, target), state, method="DOP853",
+                    rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol)
+    sol.nfev += res.nfev
+    if not res.success:
+        raise NonconvergedODE(res.message)
+    return res.y[:, -1]
+
+
+def _integrate_side(model, k2, start, stops, jump_map, cfg,
+                    switch=None) -> _Solution:
     """Integrate from ``start`` through ``stops`` (monotone toward the last),
-    recording the state at every stop; delta weights flip psi' en route."""
-    sol = _Solution()
+    recording the state at every stop; delta weights flip psi' en route.
+
+    With a ``switch`` point, the tail from ``start`` to it carries only the
+    log-derivative u = psi'/psi, through the Riccati equation
+    u' = (V_S - k^2) - u^2, and the linear integration starts there from
+    (1, u).  G does not depend on the normalization of either side's
+    solution, so this is exact; inward, the equation is neutral for an
+    outgoing wave and damping for a decaying one.
+    """
+    sol = _Solution(switch)
     side = "right" if start >= stops[-1] else "left"
     ld, _ = _phase_logderiv(model, start, k2, side)
+    down = start > stops[-1]
+
+    def vs_minus_k2(t):
+        return complex(model.VS(np.array([t]))[0]) - k2
+
+    if switch is not None:
+        def riccati(t, u):
+            return [vs_minus_k2(t) - u[0] * u[0]]
+
+        here = start
+        tail = [p for p in stops if (p > switch if down else p < switch)]
+        for target in tail + [switch]:
+            ld = _solve_segment(sol, riccati, here, target, [ld], cfg)[0]
+            here = target
+            if here in jump_map:
+                w = jump_map[here]
+                ld = ld - w if down else ld + w
+        stops = [p for p in stops if p not in tail]
+        start = switch
+
     psi, dpsi = 1.0 + 0.0j, ld
     logscale = 0.0
     sol.add(start, psi, dpsi, logscale)
 
     def rhs(t, s):
-        return [s[1], (complex(model.VS(np.array([t]))[0]) - k2) * s[0]]
+        return [s[1], vs_minus_k2(t) * s[0]]
 
     here = start
     for target in stops:
         if target == here:
             sol.add(target, psi, dpsi, logscale)
             continue
-        res = solve_ivp(rhs, (here, target), [psi, dpsi], method="DOP853",
-                        rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol)
-        if not res.success:
-            raise NonconvergedODE(res.message)
-        psi, dpsi = res.y[0][-1], res.y[1][-1]
+        psi, dpsi = _solve_segment(sol, rhs, here, target, [psi, dpsi], cfg)
         here = target
         if here in jump_map:
             # crossing a delta of V_S: psi' jumps by weight * psi
             w = jump_map[here]
-            if start > target:  # moving down: remove the upward jump
+            if down:  # moving down: remove the upward jump
                 dpsi = dpsi - w * psi
             else:
                 dpsi = dpsi + w * psi
@@ -209,9 +260,9 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
                 if d.delta_weight != 0.0}
     breaks = sorted(set(model.breakpoints))
 
-    x_r = cfg.cutoff_right if cfg.cutoff_right is not None else \
+    x_r, sw_r = (cfg.cutoff_right, None) if cfg.cutoff_right is not None else \
         _auto_cutoff(model, xi + 0.5, k2, "right", cfg)
-    x_l = cfg.cutoff_left if cfg.cutoff_left is not None else \
+    x_l, sw_l = (cfg.cutoff_left, None) if cfg.cutoff_left is not None else \
         _auto_cutoff(model, yi - 0.5, k2, "left", cfg)
     x_r = max(x_r, xi)
     x_l = min(x_l, yi)
@@ -229,8 +280,10 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
         keep = [p for p in pts if min(a, b) <= p <= max(a, b)]
         return sorted(keep, reverse=bool(a > b))
 
-    right = _integrate_side(model, k2, x_r, stops_between(x_r, yi), jump_map, cfg)
-    left = _integrate_side(model, k2, x_l, stops_between(x_l, xi), jump_map, cfg)
+    right = _integrate_side(model, k2, x_r, stops_between(x_r, yi), jump_map,
+                            cfg, sw_r)
+    left = _integrate_side(model, k2, x_l, stops_between(x_l, xi), jump_map,
+                           cfg, sw_l)
 
     w_mid, w_mid_log = _wronskian(left.get(mid), right.get(mid))
     lp, _, ls = left.get(yi)
@@ -267,6 +320,9 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
         "cutoff_right": x_r,
         "wronskian_variation": var,
         "derivative_jump_defect": defect,
+        "tail_switch_left": left.switch,
+        "tail_switch_right": right.switch,
+        "rhs_evals": left.nfev + right.nfev,
     }
     return GreenSample(x=float(x), y=float(y), k=k, value=g), diag
 

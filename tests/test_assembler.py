@@ -232,6 +232,40 @@ class TestStructure:
         assert r.N == -2
         assert abs(r.g.coeff(-2).real / want - 1) < 1e-12
 
+    @pytest.mark.parametrize("make, tag, lowest", [
+        (lambda: catalog("free"), CaseTag.I, 0),
+        (lambda: catalog("exponential"), CaseTag.II, 0),
+        (neg_exponential_model, CaseTag.III, -1),
+    ])
+    @pytest.mark.parametrize("below", [1, 3])
+    def test_s_series_below_lowest_order(self, make, tag, lowest, below):
+        # below the case's lowest s-order the series is zero, known through
+        # order N, as cases IV-VI already give
+        m, N = make(), lowest - below
+        assert green_series(m, 1.2, 0.3, 1, CFG).case_tag is tag
+        assert s_series(m, 1.2, lowest, CFG).min_order == lowest
+        s = s_series(m, 1.2, N, CFG)
+        assert s.is_zero and s.trunc == N
+        assert q_values(m, 1.2, 0.3, N, CFG) == {}
+
+    def test_gamma_inverted_once_per_point(self, monkeypatch):
+        import lowkgreen.assembler as asm
+        calls = []
+
+        def counting(series):
+            calls.append(series)
+            return real_gamma(series)
+
+        real_gamma = asm.gamma_series
+        m = catalog("sqrtwell")
+        want = s_series(m, 1.0, 2, CFG)
+        monkeypatch.setattr(asm, "gamma_series", counting)
+        got = s_series(m, 1.0, 2, CFG)
+        # the gamma-bearing orders -1 and 1 read one inversion
+        assert len(calls) == 1
+        assert got.min_order == want.min_order and got.trunc == want.trunc
+        assert np.array_equal(got.coeffs, want.coeffs)
+
 
 def barrier_g0_g1(a, x, y):
     """The printed order-0 and order-1 coefficients of the square barrier."""

@@ -184,3 +184,92 @@ class TestScalingFit:
         hi = im_slope(np.geomspace(0.1, 0.2, 4))
         lo = im_slope(np.geomspace(0.04, 0.08, 4))
         assert lo > hi + 1.0
+
+
+# Samples recorded at commit af6edc7, before the Riccati tail: every side was
+# then integrated linearly from its cutoff.  (model, params, x, y, k, value)
+TAIL_REFERENCE = [
+    ("sqrtwell", {}, 1.0, -0.5, 0.003, complex(-3.510763737799648, -1.8579821037009722e-08)),
+    ("sqrtwell", {}, 1.0, -0.5, 0.01, complex(-3.539762577133357, -5.112709712485462e-07)),
+    ("sqrtwell", {}, 1.0, -0.5, 0.1, complex(-3.6250012379657734, -3.0785012328449217)),
+    ("sqrtwell", {}, 1.0, -0.5, 0.45, complex(0.6506845799756547, -1.0009038519625149)),
+    ("sqrtwell", {}, 1.0, -0.5, 1 + 0.2j, complex(0.3506319129650102, -0.10887992088693864)),
+    # the right tail crosses the breakpoint at 0 before its switch point
+    ("sqrtwell", {}, -1.8, -3.0, 0.2, complex(-0.8854841787096556, -2.60418263954789)),
+    ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.001, complex(1.5846551570472098, -737.7541738263546)),
+    ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.01, complex(1.5195771811879162, -73.65926603570213)),
+    ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.2, complex(0.9541418962611858, -3.1812776797483475)),
+    ("logstep", {"alpha": 2.5}, 1.5, 0.8, 0.001, complex(0.5168357578415709, -602.4012128822856)),
+    ("logstep", {"alpha": 2.5}, 1.5, 0.8, 0.01, complex(0.5223661982551413, -60.238644228333456)),
+    ("logstep", {"alpha": 2.5}, 1.5, 0.8, 0.2, complex(0.5299249839906793, -2.9549744599798253)),
+    ("exponential", {}, 0.5, -0.3, 0.01, complex(-0.35760944066938594, -30.287956910623638)),
+    ("exponential", {}, 0.5, -0.3, 0.3, complex(-0.2598776790268152, -1.3092937271810652)),
+    ("logcosh", {}, 1.5, 0.4, 0.3, complex(2.1761636007717087, -1.459795985288657e-07)),
+    ("free", {}, 1.2, 0.3, 0.01, complex(0.4499439229996447, -49.997975013630864)),
+    ("free", {}, 1.2, 0.3, 0.3, complex(0.4445523369375862, -1.606284827638332)),
+]
+
+# Paths the Riccati tail leaves alone (confining and zero-edge cutoffs, and
+# cutoffs set in the config), recorded at af6edc7: (..., config, value)
+UNTOUCHED_REFERENCE = [
+    ("parabolic", {}, 1.2, 1.0, 0.01, {}, complex(1665.3715425623882, -0.0033313168701741757)),
+    ("parabolic", {}, 1.2, 1.0, 0.3, {}, complex(1.55334286683441, -1.2413372762898206e-07)),
+    ("barrier", {"a": 1.0}, 0.5, -0.3, 0.01, {}, complex(-0.39023790743067605, -0.003934404441115023)),
+    ("barrier", {"a": 1.0}, 0.5, -0.3, 0.3, {}, complex(-0.3831488941894543, -0.12275427047427696)),
+    ("sqrtwell", {}, 1.0, -0.5, 0.3, {"cutoff_left": -40.0, "cutoff_right": 40.0},
+     complex(0.47023938052006814, -1.8201723796453395)),
+    ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.05, {"cutoff_left": -20.0, "cutoff_right": 60.0},
+     complex(1.3612681527684989, -14.459755996228798)),
+]
+
+
+class TestRiccatiTail:
+    @pytest.mark.parametrize("name,params,x,y,k,want", TAIL_REFERENCE,
+                             ids=[f"{r[0]}{r[1].get('alpha', '')}-k{r[4]}"
+                                  for r in TAIL_REFERENCE])
+    def test_matches_linear_tail(self, name, params, x, y, k, want):
+        s, d = green_exact_report(catalog(name, **params), x, y, k, CFG)
+        assert abs(s.value - want) < 1e-8 * abs(want)
+        assert d["wronskian_variation"] < 1e-5
+
+    @pytest.mark.parametrize("name,params,x,y,k,cfg,want", UNTOUCHED_REFERENCE,
+                             ids=[f"{r[0]}-k{r[4]}{'-cut' if r[5] else ''}"
+                                  for r in UNTOUCHED_REFERENCE])
+    def test_other_cutoffs_unchanged(self, name, params, x, y, k, cfg, want):
+        s, d = green_exact_report(catalog(name, **params), x, y, k,
+                                  SolverConfig(**cfg))
+        assert abs(s.value - want) <= 1e-14 * abs(want)
+        assert d["tail_switch_left"] is None and d["tail_switch_right"] is None
+
+    def test_logcosh_small_k_against_converged(self):
+        # G ~ 1/k^2 here, so the ODE tolerance is amplified: at the default
+        # config the linear tail was 4.8e-8 from the value converged at
+        # ode_rel_tol=1e-13, boundary_tol=1e-12 (either tail gives it to 1e-11)
+        s = green_exact(catalog("logcosh"), 1.5, 0.4, 0.01, CFG)
+        want = complex(1966.0812933594598, -0.003932170010815294)
+        assert abs(s.value - want) < 5e-8 * abs(want)
+
+    def test_sqrtwell_work_bound(self):
+        import dataclasses
+        sw = catalog("sqrtwell")
+        calls = []
+
+        def counting(z):
+            calls.append(1)
+            return sw.eval_VS(z)
+
+        model = dataclasses.replace(sw, eval_VS=counting)
+        _, d = green_exact_report(model, 1.04, -0.54, 0.006, CFG)
+        # the linear tail from the +-2.9e5 cutoffs made about 130k calls
+        assert len(calls) < 50_000
+        assert 0 < d["rhs_evals"] <= len(calls)
+
+    def test_diagnostics(self):
+        _, d = green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
+        assert list(d)[-3:] == ["tail_switch_left", "tail_switch_right", "rhs_evals"]
+        assert d["cutoff_left"] < d["tail_switch_left"] < -0.5
+        assert 1.0 < d["tail_switch_right"] < d["cutoff_right"]
+        _, d = green_exact_report(catalog("logstep", alpha=1.5), 1.5, 0.8, 0.01, CFG)
+        # zero-edge on the left, power tail on the right
+        assert d["tail_switch_left"] is None
+        assert 1.5 < d["tail_switch_right"] < d["cutoff_right"]
