@@ -8,6 +8,8 @@ comes from a second-order phase-integral approximation of the decaying or
 outgoing ray, which keeps cutoffs modest even for slowly decaying tails.
 On such tails only the log-derivative of the solution is integrated (one
 Riccati component) from the cutoff in to where the solution has structure.
+Every solve is scipy's DOP853, step for step, with V_S evaluated once per
+step at all of the step's stage abscissae.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import (
     BesselNonconvergence,
@@ -65,8 +68,7 @@ RICCATI_SWITCH_QUALITY = 1e-2
 
 
 def _vs_derivs(model, z, h):
-    vm2, vm1, v0, vp1, vp2 = (float(model.VS(np.array([z + j * h]))[0])
-                              for j in (-2, -1, 0, 1, 2))
+    vm2, vm1, v0, vp1, vp2 = model.VS(z + np.arange(-2, 3) * h).tolist()
     d1 = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / (12 * h)
     d2 = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / (12 * h * h)
     return v0, d1, d2
@@ -95,20 +97,29 @@ def _phase_logderiv(model, z: float, k2: complex, side: str):
     return ld, abs(corr) / max(abs(s), 1e-300)
 
 
+#: steps of the confining march whose V_S values are taken in one call (the
+#: last block may evaluate up to MARCH_BLOCK - 1 points past the cutoff)
+MARCH_BLOCK = 8
+
+
 def _confining_cutoff(model, start: float, k2: complex, side: str) -> float:
-    """March outward until the under-barrier suppression reaches e^-40."""
+    """March outward in steps of 0.25, at most 100000 of them, until the
+    under-barrier suppression reaches e^-40."""
     sgn = 1.0 if side == "right" else -1.0
     z = start
     phase = 0.0
     prev = 0.0
-    for _ in range(100000):
-        z += sgn * 0.25
-        vs = float(model.VS(np.array([z]))[0])
-        val = math.sqrt(max(vs - abs(k2), 0.0))
-        phase += 0.25 * 0.5 * (val + prev)
-        prev = val
-        if phase > 40.0 and vs > abs(k2) + 1.0:
-            return z
+    for _ in range(100000 // MARCH_BLOCK):
+        zs = []
+        for _ in range(MARCH_BLOCK):
+            z += sgn * 0.25
+            zs.append(z)
+        for zi, vs in zip(zs, model.VS(np.array(zs)).tolist()):
+            val = math.sqrt(max(vs - abs(k2), 0.0))
+            phase += 0.25 * 0.5 * (val + prev)
+            prev = val
+            if phase > 40.0 and vs > abs(k2) + 1.0:
+                return zi
     raise NonconvergedODE("failed to find a confining cutoff")
 
 
@@ -145,6 +156,111 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
     raise NonconvergedODE(f"no usable {side} cutoff found")
 
 
+# -- stage-batched integration ----------------------------------------------------
+
+
+class _StageDOP853(DOP853):
+    """scipy's DOP853 for y' = stage(coeff(t), y), where the coefficient
+    depends on t alone: each attempted step evaluates ``coeff`` once, at
+    all twelve of its stage abscissae, then combines the stages as scipy's
+    ``rk_step`` does under scipy's step-size controller.  Steps, values and
+    ``nfev`` are those of ``method="DOP853"`` on the scalar ``fun``, which
+    the base class still calls for f0, the first step and dense output."""
+
+    #: stage abscissae of a step, in units of h from its start
+    NODES = np.append(DOP853.C[1:], 1.0)
+
+    def __init__(self, fun, t0, y0, t_bound, *, coeff, stage, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.coeff = coeff
+        self.stage = stage
+
+    def _rk_step(self, t, y, h):
+        q = self.coeff(t + self.NODES * h)
+        K = self.K
+        K[0] = self.f
+        for s in range(1, self.n_stages):
+            dy = np.dot(K[:s].T, self.A[s, :s]) * h
+            K[s] = self.stage(q[s - 1], y + dy)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = np.asarray(self.stage(q[-1], y_new), dtype=y.dtype)
+        K[-1] = f_new
+        self.nfev += self.n_stages
+        return y_new, f_new
+
+    def _step_impl(self):
+        # RungeKutta._step_impl, with self._rk_step for rk_step
+        t = self.t
+        y = self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True, None
+
+
+def _riccati(q, u):
+    return [q - u[0] * u[0]]
+
+
+def _linear(q, s):
+    return [s[1], q * s[0]]
+
+
+def _solve(coeff, stage, span, state, cfg, **options):
+    """``solve_ivp`` of y' = stage(coeff(t), y) over ``span`` by _StageDOP853;
+    raises NonconvergedODE when the solver fails."""
+    def fun(t, y):
+        return stage(coeff(np.array([t]))[0], y)
+
+    res = solve_ivp(fun, span, state, method=_StageDOP853, coeff=coeff,
+                    stage=stage, rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
+                    **options)
+    if not res.success:
+        raise NonconvergedODE(res.message)
+    return res
+
+
 # -- segmented complex integration ----------------------------------------------
 
 
@@ -164,12 +280,9 @@ class _Solution:
         return self.records[float(z)]
 
 
-def _solve_segment(sol, rhs, here, target, state, cfg):
-    res = solve_ivp(rhs, (here, target), state, method="DOP853",
-                    rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol)
+def _solve_segment(sol, coeff, stage, here, target, state, cfg):
+    res = _solve(coeff, stage, (here, target), state, cfg)
     sol.nfev += res.nfev
-    if not res.success:
-        raise NonconvergedODE(res.message)
     return res.y[:, -1]
 
 
@@ -190,17 +303,15 @@ def _integrate_side(model, k2, start, stops, jump_map, cfg,
     ld, _ = _phase_logderiv(model, start, k2, side)
     down = start > stops[-1]
 
-    def vs_minus_k2(t):
-        return complex(model.VS(np.array([t]))[0]) - k2
+    def vs_minus_k2(ts):
+        return model.VS(ts) - k2
 
     if switch is not None:
-        def riccati(t, u):
-            return [vs_minus_k2(t) - u[0] * u[0]]
-
         here = start
         tail = [p for p in stops if (p > switch if down else p < switch)]
         for target in tail + [switch]:
-            ld = _solve_segment(sol, riccati, here, target, [ld], cfg)[0]
+            ld = _solve_segment(sol, vs_minus_k2, _riccati, here, target, [ld],
+                                cfg)[0]
             here = target
             if here in jump_map:
                 w = jump_map[here]
@@ -212,15 +323,13 @@ def _integrate_side(model, k2, start, stops, jump_map, cfg,
     logscale = 0.0
     sol.add(start, psi, dpsi, logscale)
 
-    def rhs(t, s):
-        return [s[1], vs_minus_k2(t) * s[0]]
-
     here = start
     for target in stops:
         if target == here:
             sol.add(target, psi, dpsi, logscale)
             continue
-        psi, dpsi = _solve_segment(sol, rhs, here, target, [psi, dpsi], cfg)
+        psi, dpsi = _solve_segment(sol, vs_minus_k2, _linear, here, target,
+                                   [psi, dpsi], cfg)
         here = target
         if here in jump_map:
             # crossing a delta of V_S: psi' jumps by weight * psi
@@ -434,19 +543,13 @@ def zero_energy_modes(model: PotentialModel, cfg: SolverConfig = SolverConfig())
                 if d.delta_weight != 0.0}
     interior = sorted(b for b in set(model.breakpoints) if x_l < b < x_r)
 
-    def rhs(t, s):
-        return [s[1], float(model.VS(np.array([t]))[0]) * s[0]]
-
     def build(start, end):
         stops = interior if start < end else list(reversed(interior))
         segs = []
         here, state = start, np.array([1.0, 0.0])
         for target in stops + [end]:
-            res = solve_ivp(rhs, (here, target), state, method="DOP853",
-                            rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
-                            dense_output=True)
-            if not res.success:
-                raise NonconvergedODE(res.message)
+            res = _solve(model.VS, _linear, (here, target), state, cfg,
+                         dense_output=True)
             segs.append((min(here, target), max(here, target), res.sol))
             state = np.array([res.y[0][-1], res.y[1][-1]])
             here = target

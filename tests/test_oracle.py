@@ -3,15 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import jv
 
+from lowkgreen import oracle
 from lowkgreen.errors import (
     BesselNonconvergence,
+    NonconvergedODE,
     UnsupportedAsymptotics,
     WronskianDegenerate,
 )
 from lowkgreen.oracle import (
     SolverConfig,
+    _linear,
+    _phase_logderiv,
+    _riccati,
+    _Solution,
+    _solve_segment,
+    _StageDOP853,
     bessel_j,
     green_closed_ex5,
     green_closed_ex6,
@@ -252,17 +261,19 @@ class TestRiccatiTail:
     def test_sqrtwell_work_bound(self):
         import dataclasses
         sw = catalog("sqrtwell")
-        calls = []
+        points = []
 
         def counting(z):
-            calls.append(1)
+            points.append(np.size(z))
             return sw.eval_VS(z)
 
         model = dataclasses.replace(sw, eval_VS=counting)
         _, d = green_exact_report(model, 1.04, -0.54, 0.006, CFG)
-        # the linear tail from the +-2.9e5 cutoffs made about 130k calls
-        assert len(calls) < 50_000
-        assert 0 < d["rhs_evals"] <= len(calls)
+        # the linear tail from the +-2.9e5 cutoffs took about 130k points
+        assert sum(points) < 50_000
+        assert 0 < d["rhs_evals"] <= sum(points)
+        # one call per ODE step, not one per stage (about 37.8k calls)
+        assert len(points) < 5_000
 
     def test_diagnostics(self):
         _, d = green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
@@ -273,3 +284,131 @@ class TestRiccatiTail:
         # zero-edge on the left, power tail on the right
         assert d["tail_switch_left"] is None
         assert 1.5 < d["tail_switch_right"] < d["cutoff_right"]
+
+
+# Confining cutoffs (parabolic both ends, exponential on the right; the
+# exponential's left end is a ladder cutoff), recorded before the march
+# evaluated V_S a block at a time: (model, x, y, k, cutoff_left, cutoff_right)
+CONFINING_CUTOFFS = [
+    ("parabolic", 1.2345, 0.9871, 0.01, -9.2629, 9.2345),
+    ("parabolic", 1.2345, 0.9871, 3.0, -10.2629, 10.2345),
+    ("parabolic", -0.3, -2.1, 0.7 + 0.2j, -9.6, 9.45),
+    ("exponential", 0.5123, -0.3456, 0.02, -39.28895937499998, 4.5123),
+    ("exponential", 0.5123, -0.3456, 4.0, -17.931537499999997, 4.7623),
+]
+
+
+@pytest.mark.parametrize("name,x,y,k,left,right", CONFINING_CUTOFFS)
+def test_confining_cutoffs_recorded(name, x, y, k, left, right):
+    _, d = green_exact_report(catalog(name), x, y, k, CFG)
+    assert (d["cutoff_left"], d["cutoff_right"]) == (left, right)
+
+
+def test_confining_march_matches_pointwise_loop():
+    def march(model, start, k2, side):
+        sgn = 1.0 if side == "right" else -1.0
+        z, phase, prev = start, 0.0, 0.0
+        while True:
+            z += sgn * 0.25
+            vs = float(model.VS(np.array([z]))[0])
+            val = math.sqrt(max(vs - abs(k2), 0.0))
+            phase += 0.25 * 0.5 * (val + prev)
+            prev = val
+            if phase > 40.0 and vs > abs(k2) + 1.0:
+                return z
+
+    for name in ("parabolic", "exponential"):
+        model = catalog(name)
+        for start in (-0.3127, 0.1, 1.7345):
+            for k2 in (1e-4, 0.49 + 0.28j, 9.0, 60.0):
+                for side in (("left", "right") if name == "parabolic" else ("right",)):
+                    assert (oracle._confining_cutoff(model, start, k2, side)
+                            == march(model, start, k2, side))
+
+
+@pytest.mark.parametrize("name,params", [("sqrtwell", {}), ("logcosh", {}),
+                                         ("logstep", {"alpha": 1.5}),
+                                         ("exponential", {})])
+def test_stencil_matches_pointwise_values(name, params):
+    model = catalog(name, **params)
+    for z in (-37.3, -2.0, -0.1, 0.0, 0.7, 3.3, 234.5):
+        h = 1e-4 * max(1.0, abs(z))
+        v = [float(model.VS(np.array([z + j * h]))[0]) for j in (-2, -1, 0, 1, 2)]
+        d1 = (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
+        d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+        assert oracle._vs_derivs(model, z, h) == (v[2], d1, d2)
+
+
+class TestStageBatched:
+    """The stage-batched DOP853 against scipy's on the same scalar
+    right-hand side: the same steps, the same bits and the same work.  These
+    guard its use of scipy's RungeKutta internals."""
+
+    @staticmethod
+    def both(coeff, stage, span, y0, **options):
+        def fun(t, y):
+            return stage(coeff(np.array([t]))[0], y)
+
+        kw = dict(rtol=CFG.ode_rel_tol, atol=CFG.ode_abs_tol, **options)
+        stock = solve_ivp(fun, span, y0, method="DOP853", **kw)
+        batched = solve_ivp(fun, span, y0, method=_StageDOP853, coeff=coeff,
+                            stage=stage, **kw)
+        assert stock.status == batched.status == 0
+        assert stock.t.tobytes() == batched.t.tobytes()
+        assert stock.y.tobytes() == batched.y.tobytes()
+        assert stock.nfev == batched.nfev
+        return stock, batched
+
+    def test_linear_sqrtwell_segment(self):
+        sw = catalog("sqrtwell")
+        k2 = complex(0.3, 1e-8) ** 2
+        stock, _ = self.both(lambda ts: sw.VS(ts) - k2, _linear, (40.0, 1.0),
+                             [1.0 + 0.0j, 0.3j])
+        assert len(stock.t) > 10
+
+    def test_riccati_from_phase_start(self):
+        sw = catalog("sqrtwell")
+        k2 = complex(0.01, 1e-8) ** 2
+        ld, _ = _phase_logderiv(sw, 3000.0, k2, "right")
+        self.both(lambda ts: sw.VS(ts) - k2, _riccati, (3000.0, 20.0), [ld])
+
+    def test_sharp_bump_rejects_steps(self):
+        k2 = complex(0.5, 1e-8) ** 2
+
+        def bump(ts):
+            return 50.0 * np.exp(-((ts - 0.3) / 0.05) ** 2) - k2
+
+        stock, _ = self.both(bump, _linear, (-1.0, 1.0), [1.0 + 0.0j, 0.5j])
+        # f0 and the initial-step probe, then 12 per attempted step
+        attempts = (stock.nfev - 2) // 12
+        assert attempts > len(stock.t) - 1
+
+    def test_dense_output(self):
+        lc = catalog("logcosh")
+        stock, batched = self.both(lc.VS, _linear, (-6.0, 4.0),
+                                   np.array([1.0, 0.0]), dense_output=True)
+        ts = np.linspace(-5.9, 3.9, 37)
+        assert stock.sol(ts).tobytes() == batched.sol(ts).tobytes()
+
+    def test_nan_coefficient_raises(self):
+        def coeff(ts):
+            return np.where(ts > 0.5, np.nan, 1.0) + 0.0j
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonconvergedODE, match="step size"):
+            _solve_segment(_Solution(), coeff, _linear, 0.0, 1.0,
+                           [1.0 + 0.0j, 0.0j], CFG)
+
+    def test_every_oracle_solve_is_stage_batched(self, monkeypatch):
+        methods = []
+
+        def recording(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", recording)
+        green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
+        green_exact_report(catalog("parabolic"), 1.2, 1.0, 0.3, CFG)
+        zero_energy_modes(catalog("barrier", a=1.0))
+        assert len(methods) > 10
+        assert set(methods) == {_StageDOP853}
