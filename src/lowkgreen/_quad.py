@@ -145,11 +145,13 @@ class PiecewiseChebFun:
 def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> PiecewiseChebFun:
     """Adaptively fit ``f`` on [edges[0], edges[-1]] with mandatory breakpoints.
 
-    ``f`` must act elementwise on a 1-D array of points.  ``abs_floor`` is
-    the magnitude below which a panel counts as zero.  Panels that fail to
-    converge are tolerated if, after the whole domain is fitted, their
+    ``f`` must act elementwise on a 1-D array of points.  Panels that fail
+    to converge are tolerated if, after the whole domain is fitted, their
     residual is negligible against the global scale (this is what rounding
-    noise near breakpoints and deep tails looks like).
+    noise near breakpoints and deep tails looks like).  That scale is the
+    largest coefficient of the fit, but at least ``abs_floor``; the floor
+    plays no other part, and every panel is still refined against its own
+    scale.
     """
     edges = np.asarray(sorted(set(float(e) for e in edges)), dtype=float)
     if len(edges) < 2:

@@ -24,15 +24,7 @@ import numpy as np
 
 from ._quad import build_chebfun
 from .brackets import BracketKind, BracketSpec, QuadratureConfig, eval_bracket
-from .coeffgen import (
-    CoefficientEvaluator,
-    Family,
-    Side,
-    a_terms,
-    btilde_terms,
-    gamma_series,
-    term_table,
-)
+from .coeffgen import Family, Side, family_coefficients, gamma_series
 from .errors import (
     BranchAmbiguity,
     ExceptionalCase,
@@ -144,20 +136,21 @@ def _needed_s_order(case: CaseTag, n_target: int) -> int:
 
 
 class _GammaField:
-    """gamma_n as functions of position, from the odd reciprocal tables.
+    """gamma_n as functions of position, from the odd b~ coefficients.
 
     Every gamma-bearing order reads the same inversion, so the last one is
     kept: asking for several orders at the same points inverts once.
     """
 
-    def __init__(self, ev: CoefficientEvaluator, side: Side, max_order: int):
+    def __init__(self, model: PotentialModel, cfg: QuadratureConfig,
+                 lo: float, hi: float, side: Side, max_order: int):
         self.max_order = max_order
         m_top = max_order + 2
         if m_top % 2 == 0:
             m_top += 1
         self.m_top = m_top
-        self.fns = {m: ev.coeff_fn(btilde_terms(m, side))
-                    for m in range(1, m_top + 1, 2)}
+        self.fns = family_coefficients(model, cfg, lo, hi, Family.BTILDE,
+                                       side, m_top)
         self._last = (None, None)  # (z bytes, orders dict)
 
     def at(self, z):
@@ -265,16 +258,15 @@ class _SeriesEngine:
 def _case_engine(model: PotentialModel, case: CaseTag, cfg: QuadratureConfig,
                  lo: float, hi: float, s_top: int) -> _SeriesEngine:
     """The classified route's engine for positions in [lo, hi]."""
-    ev = CoefficientEvaluator(model, cfg, lo, hi)
     parts = {}
     for family, side in CASE_FAMILIES[case]:
         if family is Family.BTILDE:
-            gamma = _GammaField(ev, side, s_top)
-        for n in family_orders(family, s_top):
-            if family is Family.BTILDE:
-                fn = lambda z, n=n, gamma=gamma: gamma.at(z)[n]
-            else:
-                fn = ev.coeff_fn(term_table(family, n, side))
+            gamma = _GammaField(model, cfg, lo, hi, side, s_top)
+            fns = {n: (lambda z, n=n, gamma=gamma: gamma.at(z)[n])
+                   for n in family_orders(family, s_top)}
+        else:
+            fns = family_coefficients(model, cfg, lo, hi, family, side, s_top)
+        for n, fn in fns.items():
             parts.setdefault(n, []).append(fn)
     return _SeriesEngine({n: _summed(fns) for n, fns in parts.items()},
                          case, s_top, model.breakpoints, cfg)
@@ -515,12 +507,11 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
         return out
 
     s_top = max(N - 1, 0)
-    eng_r = CoefficientEvaluator(m_minus, cfg, y, x)
-    eng_l = CoefficientEvaluator(m_plus, cfg, y, x)
+    right = family_coefficients(m_minus, cfg, y, x, Family.A, Side.RIGHT, s_top)
+    left = family_coefficients(m_plus, cfg, y, x, Family.A, Side.LEFT, s_top)
     fns = {-1: s_minus_one}
     for n in range(0, s_top + 1):
-        fns[n] = _summed([eng_r.coeff_fn(a_terms(n, Side.RIGHT)),
-                          eng_l.coeff_fn(a_terms(n, Side.LEFT))])
+        fns[n] = _summed([right[n], left[n]])
     eng = _SeriesEngine(fns, CaseTag.III, s_top, model.breakpoints, cfg)
     # q0 has the closed form from integrating the slopes of the log-solutions
     q0 = 0.25 * float((m_minus.V(x) - m_minus.V(y)

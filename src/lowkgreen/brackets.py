@@ -10,6 +10,8 @@ Evaluation is one cumulative pass per level: with the innermost level
 integrated first, level j is the running integral of (weight_j * level_{j-1}),
 so the cost is linear in depth.  Semi-infinite ends are truncated where the
 declared decay bounds the dropped tail below ``truncation_tail_tol``.
+``build_states`` makes the same pass for every sign sequence of a
+coefficient family at once, summed by the partial sums of their signs.
 """
 
 from __future__ import annotations
@@ -280,6 +282,95 @@ def _run_chain(weights, model, cfg, lo, hi, from_right):
         edges = prev.edges
     return PiecewiseChebFun(prev.edges, prev.coefs,
                             fit_residual=err + cfg.truncation_tail_tol)
+
+
+def build_states(model: PotentialModel, cfg: QuadratureConfig,
+                 kind: BracketKind, flip: bool, starts: dict, depth: int,
+                 lower: float, upper: float) -> list:
+    """The chains of every sign sequence of one family, summed by state.
+
+    The family's brackets start at the infinite end with ``kind``'s weight
+    (e^{-sV} for a plain bracket, the sinh weight for an angle one), and
+    their later slots carry e^{s sigma_1 V}, ..., e^{s sigma_m V}, with
+    s = -1 when ``flip`` (V -> -V) and +1 otherwise.  Each chain is weighted
+    by starts[r_0] * prod_j (1 + r_j)(-sigma_j), where r_j is the sum of the
+    signs after sigma_j (r_0 sums them all).  That weight depends on the
+    sequence only through these states, so level j (slot j + 1) holds one
+    function per state r:
+
+        F_0(r) = starts[r] * C,   C the first slot's cumulative integral,
+        F_j(r) = (1 + r) * cumint[e^{-sV} F_{j-1}(r-1) - e^{+sV} F_{j-1}(r+1)],
+
+    and F_j(0) is the weighted sum of the family's depth-(j + 1) brackets.
+    States below 0 never return to 0 (every path passes r = -1, where
+    1 + r vanishes), and states above the number of levels left cannot
+    reach it; both are dropped.
+
+    Exactly one of ``lower``/``upper`` is infinite.  The finite end anchors
+    every chain; the infinite one is cut once, for the deepest level
+    ``depth``, whose tolerance every level shares.  A state is a scalar
+    times an unscaled chain, F = c * H, so a state with one input fits
+    exactly the integrand e^{-+sV} H of one sequence's own chain (scaling
+    an integrand changes how it refines where it underflows), and one with
+    two inputs fits e^{-sV} H_1 - (c_2 / c_1) e^{+sV} H_2.  Returns one dict
+    {r: (c, H)} per level j = 0 .. depth - 1.
+    """
+    if math.isinf(lower) == math.isinf(upper):
+        raise InvalidSpec("state chains need exactly one infinite end")
+    s = -1 if flip else 1
+    spec = BracketSpec(kind, (-s,), lower, upper)
+    weights = _weight_factory(model, spec)
+    if depth > 1:
+        weights += [lambda z: np.exp(-s * model.V(z)),
+                    lambda z: np.exp(s * model.V(z))]
+    from_right = math.isinf(upper)
+    anchor = lower if from_right else upper
+    decay = _edge_weight_decay(model, spec, "right" if from_right else "left")
+    cut = _clip_overflow(weights, anchor, _find_cut(
+        weights[0], anchor, 1 if from_right else -1, depth, decay, cfg))
+    lo, hi = (anchor, cut) if from_right else (cut, anchor)
+    return _run_states(weights[0], s, starts, depth, model, cfg, lo, hi, from_right)
+
+
+def _run_states(first, s, starts, depth, model, cfg, lo, hi, from_right):
+    """Level-by-level state table of ``build_states`` on [lo, hi]."""
+    level_tol = cfg.rel_tol / (2.0 * max(1, depth))
+
+    def chain(integrand, edges):
+        fit = build_chebfun(integrand, edges, rel_tol=level_tol,
+                            abs_floor=cfg.abs_tol, max_depth=cfg.max_depth)
+        return fit.antiderivative(from_right=from_right)
+
+    head = chain(first, _initial_edges(model, lo, hi))
+    # every later fit starts from the first level's leaves: inheriting the
+    # previous level's leaves lets them pile up from level to level
+    edges = head.edges
+    level = {r: (c, head) for r, c in starts.items() if 0 <= r < depth}
+    table = [level]
+    for j in range(1, depth):
+        nxt = {}
+        for r in range(depth - j):
+            down, up = level.get(r - 1), level.get(r + 1)
+            if down and up:
+                ratio = up[0] / down[0]
+
+                def integrand(z, h1=down[1], h2=up[1], ratio=ratio):
+                    v = model.V(z)
+                    return (np.exp(-s * v) * h1(z)
+                            - ratio * (np.exp(s * v) * h2(z)))
+                c = (1 + r) * down[0]
+            elif down:
+                integrand = lambda z, h=down[1]: np.exp(-s * model.V(z)) * h(z)
+                c = (1 + r) * down[0]
+            elif up:
+                integrand = lambda z, h=up[1]: np.exp(s * model.V(z)) * h(z)
+                c = -(1 + r) * up[0]
+            else:
+                continue
+            nxt[r] = (c, chain(integrand, edges))
+        level = nxt
+        table.append(level)
+    return table
 
 
 def chain_value(spec: BracketSpec, chain: PiecewiseChebFun) -> float:

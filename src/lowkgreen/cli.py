@@ -274,8 +274,6 @@ def _add_common(p):
     p.add_argument("--ode-tol", dest="ode_tol", type=float, default=1e-10)
     p.add_argument("--epsilon-imag", dest="epsilon_imag", type=float,
                    default=1e-8)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="deprecated and ignored; samples run serially")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None,
@@ -381,9 +379,6 @@ def main(argv=None) -> int:
     try:
         _apply_config_defaults(ap, argv)
         args = ap.parse_args(argv)
-        if args.jobs is not None:
-            print("warning: --jobs is deprecated and ignored; samples run "
-                  "serially", file=sys.stderr)
         if args.rel_tol is None:
             env = os.environ.get("LOWK_GREEN_TOL")
             try:

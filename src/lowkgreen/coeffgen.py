@@ -14,6 +14,14 @@ Three coefficient families drive every expansion:
 Tables are generated from the product formula for every order; the printed
 low-order tables serve as golden tests, not as the source.  Coefficients
 stay exact rationals until evaluation.
+
+The expansion evaluates a family as a whole (``family_coefficients``): the
+product weight depends on a sign sequence only through the sum of the
+signs still to come, so one partial-sum recursion over (level, state)
+(``brackets.build_states``) gives every order of a (side, family) with at
+most L(L+1)/2 fits for L levels.  ``CoefficientEvaluator`` evaluates a
+table term by term, one cumulative chain per sign sequence; it serves the
+term tables and is the reference the recursion is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .brackets import BracketKind, BracketSpec, QuadratureConfig, build_chain
+from .brackets import (BracketKind, BracketSpec, QuadratureConfig, build_chain,
+                       build_states)
 from .errors import BadParameter, InvalidSpec, ZeroLeadingCoefficient
 from .laurent import LaurentSeries, ls_invert
 from .potential import EndpointKind, PotentialModel
@@ -185,13 +194,72 @@ def gamma_series(btilde_values: LaurentSeries) -> LaurentSeries:
     return ls_invert(4.0 * btilde_values)
 
 
+def _side_limit(model: PotentialModel, side: Side) -> float:
+    """V's finite limit at the end a ``side`` table's brackets start from."""
+    ep = model.left if side is Side.RIGHT else model.right
+    if ep is None or ep.kind is not EndpointKind.FINITE_LIMIT:
+        raise InvalidSpec(
+            "finite-limit prefactor requested on a divergent side")
+    return ep.limit_value
+
+
+def family_coefficients(model: PotentialModel, cfg: QuadratureConfig,
+                        lo: float, hi: float, family: Family, side: Side,
+                        top: int) -> dict:
+    """{order: coefficient function} for every order of ``family`` on
+    ``side`` through ``top``, from one partial-sum recursion.
+
+    The a-family gives orders 0..top, the b and b~ families the odd orders.
+    Each function is vectorized in the position, which ``lo`` and ``hi``
+    bound.  The values are those of ``CoefficientEvaluator.coeff_fn`` on
+    the family's term tables, up to rounding and quadrature error; orders
+    outside the tables' range raise ``BadParameter`` as the tables do.
+    """
+    a = family is Family.A
+    orders = range(0 if a else 1, top + 1, 1 if a else 2)
+    for n in orders:
+        _check_order(n)
+    point_sign = -1 if family is Family.BTILDE else 1
+    depth = max(orders, default=0)
+    if a:
+        limit = _side_limit(model, side)
+        kind = (BracketKind.ANGLE_LEFT if side is Side.RIGHT
+                else BracketKind.ANGLE_RIGHT)
+        # the term weight (-1)^Lambda (Lambda+1)/2 e^{-Lambda V_lim} is the
+        # start of state r = Lambda
+        starts = {r: (-1) ** r * (r + 1) / 2 * np.exp(-r * limit)
+                  for r in range(depth)}
+    else:
+        # balanced sequences only, each weighted P/2
+        kind = BracketKind.PLAIN
+        starts = {0: 0.5}
+    table = []
+    if depth:
+        bounds = (-math.inf, hi) if side is Side.RIGHT else (lo, math.inf)
+        table = build_states(model, cfg, kind, family is Family.BTILDE,
+                             starts, depth, *bounds)
+
+    def coefficient(c, chain):
+        def fn(z):
+            z = np.asarray(z, dtype=float)
+            weight = c if chain is None else c * chain(z)
+            return weight * np.exp(point_sign * model.V(z))
+        return fn
+
+    return {n: coefficient(-0.5 * np.exp(-limit), None) if n == 0
+            else coefficient(*table[n - 1][0])
+            for n in orders}
+
+
 class CoefficientEvaluator:
-    """Evaluates term tables against one model, sharing cumulative chains.
+    """Evaluates term tables against one model, one chain per sign sequence.
 
     Chains are keyed by bracket kind, sign sequence and side so that the
     series at several positions and the integrals of coefficient functions
     reuse the same quadrature work.  ``lo`` and ``hi`` bound the positions
-    that will be requested.
+    that will be requested.  The expansion reads whole families from
+    ``family_coefficients``; this evaluator serves single tables
+    (``eval_coeff``) and is the reference that recursion is tested against.
     """
 
     def __init__(self, model: PotentialModel, cfg: QuadratureConfig,
@@ -214,20 +282,13 @@ class CoefficientEvaluator:
             self._chains[key] = chain
         return self._chains[key]
 
-    def _limit(self, side: Side) -> float:
-        ep = self.model.left if side is Side.RIGHT else self.model.right
-        if ep is None or ep.kind is not EndpointKind.FINITE_LIMIT:
-            raise InvalidSpec(
-                "finite-limit prefactor requested on a divergent side")
-        return ep.limit_value
-
     def coeff_fn(self, table: TermTable):
         """The coefficient as a function of position (vectorized)."""
         pieces = []
         for t in table.terms:
             if t.limit_exponent != 0:
-                pref = float(t.coeff) * np.exp(-t.limit_exponent
-                                               * self._limit(table.side))
+                pref = float(t.coeff) * np.exp(
+                    -t.limit_exponent * _side_limit(self.model, table.side))
             else:
                 pref = float(t.coeff)
             if t.kind is None:

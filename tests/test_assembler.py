@@ -28,6 +28,7 @@ from lowkgreen.potential import (
     EndpointKind,
     catalog,
     custom_model,
+    max_valid_order,
 )
 
 CFG = QuadratureConfig()
@@ -221,6 +222,20 @@ class TestStructure:
             green_series(catalog("logstep", alpha=1.5), 1.5, 0.8, 2, CFG)
         with pytest.raises(OrderExceedsValidity):
             s_series(catalog("logstep", alpha=1.5), 1.5, 2, CFG)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_power_tail_expands_up_to_validity(self, alpha):
+        # a family's one tail cut is placed for its deepest level, so the
+        # power-tail rule (alpha > depth) must accept every valid order
+        m = catalog("logstep", alpha=alpha)
+        top = max_valid_order(m)
+        for N in range(-1, top + 1):
+            assert green_series(m, 1.5, 0.8, N, CFG).N == N
+            assert s_series(m, 1.5, N, CFG).trunc == N
+        with pytest.raises(OrderExceedsValidity):
+            green_series(m, 1.5, 0.8, top + 1, CFG)
+        with pytest.raises(OrderExceedsValidity):
+            s_series(m, 1.5, top + 1, CFG)
 
     def test_order_below_leading(self):
         with pytest.raises(OrderExceedsValidity):

@@ -230,11 +230,14 @@ class TestConfigAndEnv:
         assert abs(json.loads(target.read_text())["value"] - 1.0) < 1e-12
 
     def test_jobs_flag(self, capsys):
+        # --jobs is gone: argparse rejects it as a usage error
         argv = ("oracle", "free", "--x", "1.0", "--y", "0.0", "--k-start",
                 "0.3", "--k-stop", "0.9", "--k-count", "4")
-        code, out, err = run(capsys, *argv, "--jobs", "2")
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
         assert len(out.strip().split("\n")) == 2 + 4
-        assert err == ("warning: --jobs is deprecated and ignored; samples "
-                       "run serially\n")
         assert run(capsys, *argv) == (0, out, "")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import shichi
 
+from lowkgreen import assembler, brackets
 from lowkgreen.brackets import BracketKind, QuadratureConfig
 from lowkgreen.coeffgen import (
+    ORDER_CAP,
     CoefficientEvaluator,
     Family,
     Side,
@@ -15,12 +17,21 @@ from lowkgreen.coeffgen import (
     b_terms,
     btilde_terms,
     eval_coeff,
+    family_coefficients,
     gamma_series,
     p_coeff,
+    term_table,
 )
 from lowkgreen.errors import BadParameter, ZeroLeadingCoefficient
 from lowkgreen.laurent import LaurentSeries, ls_invert
-from lowkgreen.potential import catalog
+from lowkgreen.oracle import SolverConfig, zero_energy_modes
+from lowkgreen.potential import (
+    EndpointKind,
+    catalog,
+    classification,
+    max_valid_order,
+)
+from test_assembler import neg_exponential_model, tanh_model
 
 CFG = QuadratureConfig()
 
@@ -247,3 +258,140 @@ class TestGammaSeries:
     def test_zero_leading(self):
         with pytest.raises(ZeroLeadingCoefficient):
             gamma_series(LaurentSeries(1, [0.0, 0.0, 1.0], trunc=3))
+
+
+#: the family whose brackets start from an end of each kind
+START_FAMILY = {EndpointKind.FINITE_LIMIT: Family.A,
+                EndpointKind.PLUS_INFINITY: Family.B,
+                EndpointKind.MINUS_INFINITY: Family.BTILDE}
+
+
+def _barrier_aux(side_of_one):
+    """One of the generic route's auxiliary potentials for the barrier,
+    built as ``generic_expansion`` builds it."""
+    barrier = catalog("barrier", a=1.0)
+    psi_m, psi_p, _ = zero_energy_modes(barrier, SolverConfig())
+    psi = psi_m if side_of_one == "left" else psi_p
+    return assembler._aux_model("barrier+aux", psi, tuple(barrier.discontinuities),
+                                side_of_one)
+
+
+def _valid_top(model):
+    """The s-order a green_series at the model's validity limit needs."""
+    case, _ = classification(model)
+    return assembler._needed_s_order(case, max_valid_order(model))
+
+
+BOTH = (Side.RIGHT, Side.LEFT)
+# (model, highest order, sides, tolerance).  The auxiliary potentials are
+# checked on the side the generic route reads, through the s-orders of its
+# N=6, and within the quadrature tolerance: V comes from the zero-energy
+# solutions' dense output, and the fits resolve it only to the requested
+# tolerance.  The reference's single order-1 term, fitted at rel_tol/2
+# where the recursion uses rel_tol/10, already differs by 2e-12 there.
+RECURSION_CASES = [
+    pytest.param(lambda: catalog("free"), 7, BOTH, 1e-12, id="free"),
+    pytest.param(lambda: catalog("parabolic"), 7, BOTH, 1e-12, id="parabolic"),
+    pytest.param(lambda: catalog("logcosh"), 7, BOTH, 1e-12, id="logcosh"),
+    pytest.param(lambda: catalog("exponential"), 7, BOTH, 1e-12, id="exponential"),
+    pytest.param(lambda: catalog("exponential").reflected(), 7, BOTH, 1e-12,
+                 id="exponential-reflected"),
+    pytest.param(lambda: catalog("sqrtwell"), 7, BOTH, 1e-12, id="sqrtwell"),
+    pytest.param(lambda: catalog("logstep", alpha=1.5), None, BOTH, 1e-12,
+                 id="logstep-1.5"),
+    pytest.param(lambda: catalog("logstep", alpha=2.5), None, BOTH, 1e-12,
+                 id="logstep-2.5"),
+    pytest.param(neg_exponential_model, 7, BOTH, 1e-12, id="neg-exponential"),
+    # the only model here whose finite limits are not 0
+    pytest.param(tanh_model, 7, BOTH, 1e-12, id="tanh"),
+    pytest.param(lambda: _barrier_aux("left"), 5, (Side.RIGHT,), CFG.rel_tol,
+                 id="barrier-aux-down"),
+    pytest.param(lambda: _barrier_aux("right"), 5, (Side.LEFT,), CFG.rel_tol,
+                 id="barrier-aux-up"),
+]
+
+
+class TestFamilyRecursion:
+    """The partial-sum recursion against the term tables summed through
+    one ``build_chain`` per sign sequence."""
+
+    @pytest.mark.parametrize("make,top,sides,tol", RECURSION_CASES)
+    def test_matches_summed_term_tables(self, make, top, sides, tol):
+        model = make()
+        top = _valid_top(model) if top is None else top
+        lo, hi = -0.4, 1.2
+        pts = np.array([lo, hi])
+        for side in sides:
+            end = model.left if side is Side.RIGHT else model.right
+            family = START_FAMILY[end.kind]
+            got = family_coefficients(model, CFG, lo, hi, family, side, top)
+            ev = CoefficientEvaluator(model, CFG, lo, hi)
+            want = {}
+            for n, fn in got.items():
+                table = term_table(family, n, side)
+                terms = [ev.coeff_fn(TermTable(n, side, family, (t,), table.point_sign))(pts)
+                         for t in table.terms]
+                want[n] = sum(terms)
+                # the sum can cancel far below its terms, so the rounding
+                # of the reference is relative to the terms' size
+                scale = sum(np.abs(v) for v in terms)
+                assert np.all(np.abs(fn(pts) - want[n]) <= tol * scale), (side, n)
+            if family is Family.BTILDE:
+                # the gamma orders, inverted as _GammaField does
+                m = max(got)
+                for i in range(pts.size):
+                    g_got, g_want = (
+                        gamma_series(LaurentSeries(1, [v[n][i] if n % 2 else 0.0
+                                                       for n in range(1, m + 2)],
+                                                   trunc=m + 1))
+                        for v in ({n: fn(pts) for n, fn in got.items()}, want))
+                    for n in range(-1, m - 1, 2):
+                        assert abs(g_got.coeff(n) / g_want.coeff(n) - 1) < 1e-11
+
+    def test_orders_of_each_family(self):
+        para, ex = catalog("parabolic"), catalog("exponential")
+        assert list(family_coefficients(para, CFG, 1.0, 1.2, Family.B,
+                                        Side.RIGHT, 6)) == [1, 3, 5]
+        assert list(family_coefficients(ex, CFG, 1.0, 1.2, Family.A,
+                                        Side.RIGHT, 3)) == [0, 1, 2, 3]
+        assert family_coefficients(para, CFG, 1.0, 1.2, Family.B,
+                                   Side.RIGHT, 0) == {}
+
+    @pytest.mark.parametrize("family,model,side", [
+        (Family.A, "exponential", Side.RIGHT),
+        (Family.B, "parabolic", Side.RIGHT),
+        (Family.BTILDE, "sqrtwell", Side.LEFT),
+    ])
+    @pytest.mark.parametrize("top", [ORDER_CAP + 1, ORDER_CAP + 2])
+    def test_rejects_the_orders_the_tables_reject(self, family, model, side, top):
+        rejected = False
+        a = family is Family.A
+        for n in range(0 if a else 1, top + 1, 1 if a else 2):
+            try:
+                term_table(family, n, side)
+            except BadParameter:
+                rejected = True
+        if rejected:
+            with pytest.raises(BadParameter):
+                family_coefficients(catalog(model), CFG, 0.5, 1.0, family, side, top)
+        else:
+            # b and b~ feed odd orders only: top = cap + 1 asks for none
+            # past the cap
+            assert family is not Family.A and top % 2 == 0
+            assert max(family_coefficients(catalog(model), CFG, 0.5, 1.0,
+                                           family, side, top)) == ORDER_CAP
+
+    def test_parabolic_order_8_work(self, monkeypatch):
+        # one state table per side: 21 fits each for the b-family through
+        # order 11, where one chain per sign sequence built 1,274 levels
+        fits = []
+        real = brackets.build_chebfun
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(brackets, "build_chebfun", counting)
+        r = assembler.green_series(catalog("parabolic"), 1.2, 1.0, 8, CFG)
+        assert r.N == 8
+        assert len(fits) <= 42
