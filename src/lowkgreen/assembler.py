@@ -319,6 +319,9 @@ def q_values(model: PotentialModel, x: float, y: float, N: int,
              cfg: QuadratureConfig = QuadratureConfig()) -> Dict[int, float]:
     """q_n(x, y) for n up to N + 1 (N is the coefficient order used)."""
     case, _, m, x, y = _oriented(model, x, y)
+    if N > max_valid_order(model):
+        raise OrderExceedsValidity(
+            f"order {N} exceeds validity {max_valid_order(model)}")
     return _case_engine(m, case, cfg, y, x, N).q_dict(y, x)
 
 

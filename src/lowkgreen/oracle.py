@@ -8,8 +8,11 @@ comes from a second-order phase-integral approximation of the decaying or
 outgoing ray, which keeps cutoffs modest even for slowly decaying tails.
 On such tails only the log-derivative of the solution is integrated (one
 Riccati component) from the cutoff in to where the solution has structure.
-Every solve is scipy's DOP853, step for step, with V_S evaluated once per
-step at all of the step's stage abscissae.
+Every solve runs DOP853's tableau under scipy's step-size controller and
+takes stock DOP853's steps, with values within the ODE tolerance: V_S is
+evaluated once per step at all of the step's stage abscissae, the stages
+are combined in plain Python floats, and V_S is taken from inside each
+segment, never from across the breakpoint a segment ends on.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -159,62 +162,113 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
 # -- stage-batched integration ----------------------------------------------------
 
 
+def _nonzero(row):
+    """((index, weight), ...) of a tableau row's nonzero entries, as Python
+    floats: a zero weight adds nothing to a stage sum."""
+    return tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
+
+
 class _StageDOP853(DOP853):
     """scipy's DOP853 for y' = stage(coeff(t), y), where the coefficient
     depends on t alone: each attempted step evaluates ``coeff`` once, at
-    all twelve of its stage abscissae, then combines the stages as scipy's
-    ``rk_step`` does under scipy's step-size controller.  Steps, values and
-    ``nfev`` are those of ``method="DOP853"`` on the scalar ``fun``, which
-    the base class still calls for f0, the first step and dense output."""
+    all twelve of its stage abscissae, then combines the stages in plain
+    Python floats under scipy's step-size controller.  The tableau, the
+    controller, the steps and ``nfev`` are those of ``method="DOP853"`` on
+    the scalar ``fun``, which the base class still calls for f0, the first
+    step and dense output.  The values agree within the ODE tolerance, not
+    bit for bit: numpy may fuse multiply-adds that Python rounds twice.
+    ``_solve`` hands it a ``coeff`` that takes V_S from inside the segment.
+    """
 
     #: stage abscissae of a step, in units of h from its start
     NODES = np.append(DOP853.C[1:], 1.0)
+    #: nonzero weights of stages 1..11 (A), of the solution (B) and of the
+    #: two error estimators (E5, E3)
+    A_ROWS = tuple(_nonzero(row) for row in DOP853.A[1:])
+    B_TERMS = _nonzero(DOP853.B)
+    E5_TERMS = _nonzero(DOP853.E5)
+    E3_TERMS = _nonzero(DOP853.E3)
 
     def __init__(self, fun, t0, y0, t_bound, *, coeff, stage, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.coeff = coeff
         self.stage = stage
+        # per-component tolerances as Python floats
+        self.atol_list = np.broadcast_to(self.atol, (self.n,)).tolist()
+        self.rtol_list = np.broadcast_to(self.rtol, (self.n,)).tolist()
 
     def _rk_step(self, t, y, h):
-        q = self.coeff(t + self.NODES * h)
-        K = self.K
-        K[0] = self.f
-        for s in range(1, self.n_stages):
-            dy = np.dot(K[:s].T, self.A[s, :s]) * h
-            K[s] = self.stage(q[s - 1], y + dy)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
-        f_new = np.asarray(self.stage(q[-1], y_new), dtype=y.dtype)
-        K[-1] = f_new
+        """One step of size h from the list state y: (y_new, stages), with
+        the 13 stage rows as lists, also written into ``self.K``."""
+        q = self.coeff(t + self.NODES * h).tolist()
+        stage = self.stage
+        comps = range(self.n)
+        K = [self.f.tolist()]
+        for row, qs in zip(self.A_ROWS, q):
+            z = []
+            for i in comps:
+                acc = 0.0
+                for j, w in row:
+                    acc += K[j][i] * w
+                z.append(y[i] + acc * h)
+            K.append(stage(qs, z))
+        y_new = []
+        for i in comps:
+            acc = 0.0
+            for j, w in self.B_TERMS:
+                acc += K[j][i] * w
+            y_new.append(y[i] + h * acc)
+        K.append(stage(q[-1], y_new))
+        self.K[:] = K
         self.nfev += self.n_stages
-        return y_new, f_new
+        return y_new, K
+
+    def _estimate_error_norm(self, K, h, scale):
+        # DOP853._estimate_error_norm on the stage lists
+        err5 = err3 = 0.0
+        for i, sc in enumerate(scale):
+            e5 = e3 = 0.0
+            for j, w in self.E5_TERMS:
+                e5 += K[j][i] * w
+            for j, w in self.E3_TERMS:
+                e3 += K[j][i] * w
+            e5 /= sc
+            e3 /= sc
+            err5 += e5.real * e5.real + e5.imag * e5.imag
+            err3 += e3.real * e3.real + e3.imag * e3.imag
+        if err5 == 0 and err3 == 0:
+            return 0.0
+        return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
     def _step_impl(self):
         # RungeKutta._step_impl, with self._rk_step for rk_step
         t = self.t
-        y = self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        y = self.y.tolist()
+        direction = float(self.direction)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
             h_abs = min_step
         else:
-            h_abs = self.h_abs
+            h_abs = float(self.h_abs)
 
         step_accepted = False
         step_rejected = False
         while not step_accepted:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
+            h = h_abs * direction
             t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
+            y_new, K = self._rk_step(t, y, h)
+            scale = [a + max(abs(v), abs(w)) * r for a, r, v, w
+                     in zip(self.atol_list, self.rtol_list, y, y_new)]
+            error_norm = self._estimate_error_norm(K, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -231,11 +285,11 @@ class _StageDOP853(DOP853):
                 step_rejected = True
 
         self.h_previous = h
-        self.y_old = y
+        self.y_old = self.y
         self.t = t_new
-        self.y = y_new
+        self.y = np.array(y_new, dtype=self.y.dtype)
         self.h_abs = h_abs
-        self.f = f_new
+        self.f = np.array(K[-1], dtype=self.y.dtype)
         return True, None
 
 
@@ -249,11 +303,21 @@ def _linear(q, s):
 
 def _solve(coeff, stage, span, state, cfg, **options):
     """``solve_ivp`` of y' = stage(coeff(t), y) over ``span`` by _StageDOP853;
-    raises NonconvergedODE when the solver fails."""
-    def fun(t, y):
-        return stage(coeff(np.array([t]))[0], y)
+    raises NonconvergedODE when the solver fails.
 
-    res = solve_ivp(fun, span, state, method=_StageDOP853, coeff=coeff,
+    ``coeff`` is taken one ulp inside the span: a segment ends at a
+    breakpoint of V_S, and a step's last node (and f0, and dense output)
+    would otherwise take V_S from across the discontinuity."""
+    lo, hi = sorted((math.nextafter(span[0], span[1]),
+                     math.nextafter(span[1], span[0])))
+
+    def inside(ts):
+        return coeff(ts.clip(lo, hi))
+
+    def fun(t, y):
+        return stage(inside(np.array([t]))[0], y)
+
+    res = solve_ivp(fun, span, state, method=_StageDOP853, coeff=inside,
                     stage=stage, rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
                     **options)
     if not res.success:

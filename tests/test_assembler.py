@@ -237,6 +237,15 @@ class TestStructure:
         with pytest.raises(OrderExceedsValidity):
             s_series(m, 1.5, top + 1, CFG)
 
+    def test_q_values_checks_validity(self):
+        # past validity the tail cut used to fail first, with DivergentTail
+        m = catalog("logstep", alpha=1.5)
+        top = max_valid_order(m)
+        assert q_values(m, 1.5, 0.8, top, CFG)
+        for N in (top + 1, 3):
+            with pytest.raises(OrderExceedsValidity):
+                q_values(m, 1.5, 0.8, N, CFG)
+
     def test_order_below_leading(self):
         with pytest.raises(OrderExceedsValidity):
             green_series(catalog("sqrtwell"), 1.0, -0.5, -1, CFG)
