@@ -45,6 +45,7 @@ from .oracle import (
     green_closed_ex5,
     green_closed_ex6,
     green_exact,
+    green_exact_grid,
     green_exact_report,
     remainder_scaling_fit,
     zero_energy_modes,

@@ -161,7 +161,7 @@ def cmd_expand(args) -> int:
 
 
 def _g_exact_grid(model, x, y, ks, scfg):
-    return [oracle.green_exact(model, x, y, k, scfg).value for k in ks]
+    return [s.value for s, _ in oracle.green_exact_grid(model, x, y, ks, scfg)]
 
 
 def cmd_compare(args) -> int:

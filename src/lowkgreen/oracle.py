@@ -12,7 +12,10 @@ Every solve runs DOP853's tableau under scipy's step-size controller and
 takes stock DOP853's steps, with values within the ODE tolerance: V_S is
 evaluated once per step at all of the step's stage abscissae, the stages
 are combined in plain Python floats, and V_S is taken from inside each
-segment, never from across the breakpoint a segment ends on.
+segment, never from across the breakpoint a segment ends on.  A grid of
+several k runs one batched system per side, from the outermost of the
+grid's linear starts, with per-k Riccati tails in to that shared start;
+single samples are solved one k at a time as above.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -23,6 +26,7 @@ log-log fitter that measures how the truncation error scales with k.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -34,6 +38,7 @@ from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from .errors import (
     BesselNonconvergence,
     DegenerateFit,
+    LowkGreenError,
     NonconvergedODE,
     UnsupportedAsymptotics,
     WronskianDegenerate,
@@ -197,6 +202,10 @@ class _StageDOP853(DOP853):
         self.atol_list = np.broadcast_to(self.atol, (self.n,)).tolist()
         self.rtol_list = np.broadcast_to(self.rtol, (self.n,)).tolist()
 
+    def _load(self, y):
+        """The state array in the form ``_rk_step`` takes."""
+        return y.tolist()
+
     def _rk_step(self, t, y, h):
         """One step of size h from the list state y: (y_new, stages), with
         the 13 stage rows as lists, also written into ``self.K``."""
@@ -223,6 +232,10 @@ class _StageDOP853(DOP853):
         self.nfev += self.n_stages
         return y_new, K
 
+    def _scale(self, y, y_new):
+        return [a + max(abs(v), abs(w)) * r for a, r, v, w
+                in zip(self.atol_list, self.rtol_list, y, y_new)]
+
     def _estimate_error_norm(self, K, h, scale):
         # DOP853._estimate_error_norm on the stage lists
         err5 = err3 = 0.0
@@ -243,7 +256,7 @@ class _StageDOP853(DOP853):
     def _step_impl(self):
         # RungeKutta._step_impl, with self._rk_step for rk_step
         t = self.t
-        y = self.y.tolist()
+        y = self._load(self.y)
         direction = float(self.direction)
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
@@ -266,8 +279,7 @@ class _StageDOP853(DOP853):
             h_abs = abs(h)
 
             y_new, K = self._rk_step(t, y, h)
-            scale = [a + max(abs(v), abs(w)) * r for a, r, v, w
-                     in zip(self.atol_list, self.rtol_list, y, y_new)]
+            scale = self._scale(y, y_new)
             error_norm = self._estimate_error_norm(K, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -293,6 +305,47 @@ class _StageDOP853(DOP853):
         return True, None
 
 
+class _GridDOP853(_StageDOP853):
+    """_StageDOP853 on the flat state [psi_1..psi_K, psi'_1..psi'_K] of K
+    wavenumbers that share V_S, with ``coeff`` giving V_S - k^2 as a
+    (nodes, K) array.  The stages are combined with numpy, as scipy's
+    ``rk_step`` does.  The error norm is the largest of the K wavenumbers'
+    own DOP853 norms, so no wavenumber is integrated more loosely than it
+    would be alone; the RMS over all 2K components would loosen the worst
+    one by up to sqrt(2K).
+    """
+
+    def _load(self, y):
+        return y
+
+    def _rk_step(self, t, y, h):
+        q = self.coeff(t + self.NODES * h)
+        stage = self.stage
+        K = self.K
+        K[0] = self.f
+        for s, (a, qs) in enumerate(zip(self.A[1:], q), start=1):
+            K[s] = stage(qs, y + np.dot(K[:s].T, a[:s]) * h)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        K[-1] = stage(q[-1], y_new)
+        self.nfev += self.n_stages
+        return y_new, K
+
+    def _scale(self, y, y_new):
+        return self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+
+    def _estimate_error_norm(self, K, h, scale):
+        # DOP853._estimate_error_norm of each (psi_k, psi'_k) pair
+        err5 = np.abs(np.dot(K.T, self.E5) / scale).reshape(2, -1)
+        err3 = np.abs(np.dot(K.T, self.E3) / scale).reshape(2, -1)
+        err5 = (err5 * err5).sum(axis=0)
+        err3 = (err3 * err3).sum(axis=0)
+        denom = err5 + 0.01 * err3
+        with np.errstate(invalid="ignore", divide="ignore"):
+            norms = np.where(denom == 0, 0.0, err5 / np.sqrt(denom * 2))
+        # a NaN state stays NaN here, so the controller rejects the step
+        return abs(h) * float(norms.max())
+
+
 def _riccati(q, u):
     return [q - u[0] * u[0]]
 
@@ -301,9 +354,16 @@ def _linear(q, s):
     return [s[1], q * s[0]]
 
 
-def _solve(coeff, stage, span, state, cfg, **options):
-    """``solve_ivp`` of y' = stage(coeff(t), y) over ``span`` by _StageDOP853;
-    raises NonconvergedODE when the solver fails.
+def _linear_grid(q, s):
+    """_linear for the flat state of len(q) wavenumbers."""
+    n = q.size
+    return np.concatenate((s[n:], q * s[:n]))
+
+
+def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
+    """``solve_ivp`` of y' = stage(coeff(t), y) over ``span`` by ``method``
+    (_StageDOP853 or _GridDOP853); raises NonconvergedODE when the solver
+    fails.
 
     ``coeff`` is taken one ulp inside the span: a segment ends at a
     breakpoint of V_S, and a step's last node (and f0, and dense output)
@@ -317,7 +377,7 @@ def _solve(coeff, stage, span, state, cfg, **options):
     def fun(t, y):
         return stage(inside(np.array([t]))[0], y)
 
-    res = solve_ivp(fun, span, state, method=_StageDOP853, coeff=inside,
+    res = solve_ivp(fun, span, state, method=method, coeff=inside,
                     stage=stage, rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
                     **options)
     if not res.success:
@@ -350,6 +410,98 @@ def _solve_segment(sol, coeff, stage, here, target, state, cfg):
     return res.y[:, -1]
 
 
+class _Span:
+    """What the samples at one (x, y) share whatever k is: the ordered
+    ends, the Wronskian check points, V_S's breakpoints and delta weights,
+    and the stops of an integration."""
+
+    def __init__(self, model, x, y, cfg):
+        self.xi, self.yi = xi, yi = (x, y) if x >= y else (y, x)
+        self.jump_map = {d.x0: d.delta_weight for d in model.discontinuities
+                         if d.delta_weight != 0.0}
+        self.breaks = breaks = sorted(set(model.breakpoints))
+        checks = [float(c) for c in np.linspace(yi, xi, cfg.check_points)] \
+            if xi > yi else [yi]
+        # consistent one-sided derivatives at the record points
+        self.checks = [c + 1e-9 if c in breaks else c for c in checks]
+        self.mid = self.checks[len(self.checks) // 2]
+
+    def stops(self, a, b):
+        """The record points and breakpoints from a to b, in that order."""
+        pts = {b, self.mid, self.xi, self.yi}
+        pts.update(c for c in self.checks)
+        pts.update(br for br in self.breaks if min(a, b) < br < max(a, b))
+        keep = [p for p in pts if min(a, b) <= p <= max(a, b)]
+        return sorted(keep, reverse=bool(a > b))
+
+    def cutoffs(self, model, k2, cfg):
+        """((cutoff, switch) on the left, the same on the right)."""
+        x_r, sw_r = (cfg.cutoff_right, None) \
+            if cfg.cutoff_right is not None else \
+            _auto_cutoff(model, self.xi + 0.5, k2, "right", cfg)
+        x_l, sw_l = (cfg.cutoff_left, None) \
+            if cfg.cutoff_left is not None else \
+            _auto_cutoff(model, self.yi - 0.5, k2, "left", cfg)
+        return (min(x_l, self.yi), sw_l), (max(x_r, self.xi), sw_r)
+
+
+def _riccati_tail(sol, coeff, ld, start, stops, end, jump_map, cfg, down):
+    """The log-derivative u = psi'/psi at ``end``, from ``ld`` at ``start``
+    through the stops beyond ``end``, by the Riccati equation
+    u' = (V_S - k^2) - u^2; a delta weight shifts u where it is crossed."""
+    here = start
+    for target in [p for p in stops if (p > end if down else p < end)] + [end]:
+        ld = _solve_segment(sol, coeff, _riccati, here, target, [ld], cfg)[0]
+        here = target
+        if here in jump_map:
+            w = jump_map[here]
+            ld = ld - w if down else ld + w
+    return ld
+
+
+def _linear_sweep(sols, coeff, stage, method, start, lds, stops, jump_map,
+                  cfg, down):
+    """Integrate (psi, psi') of every solution in ``sols`` from (1, ld) at
+    ``start`` through ``stops`` as one ODE system, recording each state at
+    every stop: a delta of V_S makes psi' jump by its weight times psi, and
+    a state beyond 1e+-50 is renormalized into its log scale."""
+    n = len(sols)
+    psi = [1.0 + 0.0j] * n
+    dpsi = list(lds)
+    logscale = [0.0] * n
+    for sol, ld in zip(sols, dpsi):
+        sol.add(start, 1.0 + 0.0j, ld, 0.0)
+
+    here = start
+    for target in stops:
+        if target == here:
+            for i, sol in enumerate(sols):
+                sol.add(target, psi[i], dpsi[i], logscale[i])
+            continue
+        res = _solve(coeff, stage, (here, target), psi + dpsi, cfg, method)
+        for sol in sols:
+            sol.nfev += res.nfev
+        end = res.y[:, -1]
+        psi, dpsi = list(end[:n]), list(end[n:])
+        here = target
+        for i, sol in enumerate(sols):
+            p, d = psi[i], dpsi[i]
+            if here in jump_map:
+                # crossing a delta of V_S: psi' jumps by weight * psi
+                w = jump_map[here]
+                if down:  # moving down: remove the upward jump
+                    d = d - w * p
+                else:
+                    d = d + w * p
+            m = max(abs(p), abs(d))
+            if m > 1e50 or (0 < m < 1e-50):
+                p /= m
+                d /= m
+                logscale[i] += math.log(m)
+            psi[i], dpsi[i] = p, d
+            sol.add(here, p, d, logscale[i])
+
+
 def _integrate_side(model, k2, start, stops, jump_map, cfg,
                     switch=None) -> _Solution:
     """Integrate from ``start`` through ``stops`` (monotone toward the last),
@@ -371,44 +523,54 @@ def _integrate_side(model, k2, start, stops, jump_map, cfg,
         return model.VS(ts) - k2
 
     if switch is not None:
-        here = start
-        tail = [p for p in stops if (p > switch if down else p < switch)]
-        for target in tail + [switch]:
-            ld = _solve_segment(sol, vs_minus_k2, _riccati, here, target, [ld],
-                                cfg)[0]
-            here = target
-            if here in jump_map:
-                w = jump_map[here]
-                ld = ld - w if down else ld + w
-        stops = [p for p in stops if p not in tail]
+        ld = _riccati_tail(sol, vs_minus_k2, ld, start, stops, switch,
+                           jump_map, cfg, down)
+        stops = [p for p in stops if not (p > switch if down else p < switch)]
         start = switch
-
-    psi, dpsi = 1.0 + 0.0j, ld
-    logscale = 0.0
-    sol.add(start, psi, dpsi, logscale)
-
-    here = start
-    for target in stops:
-        if target == here:
-            sol.add(target, psi, dpsi, logscale)
-            continue
-        psi, dpsi = _solve_segment(sol, vs_minus_k2, _linear, here, target,
-                                   [psi, dpsi], cfg)
-        here = target
-        if here in jump_map:
-            # crossing a delta of V_S: psi' jumps by weight * psi
-            w = jump_map[here]
-            if down:  # moving down: remove the upward jump
-                dpsi = dpsi - w * psi
-            else:
-                dpsi = dpsi + w * psi
-        m = max(abs(psi), abs(dpsi))
-        if m > 1e50 or (0 < m < 1e-50):
-            psi /= m
-            dpsi /= m
-            logscale += math.log(m)
-        sol.add(here, psi, dpsi, logscale)
+    _linear_sweep([sol], vs_minus_k2, _linear, _StageDOP853, start, [ld],
+                  stops, jump_map, cfg, down)
     return sol
+
+
+def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
+    """(solutions, S): one _Solution per wavenumber, from each (cutoff,
+    switch) of ``sides`` to ``end``, with the linear parts run as one
+    system from S, the outermost of the linear starts (the switch point,
+    or the cutoff where there is none).
+
+    A confining cutoff further out only adds suppression, and a ladder
+    rung further out only improves the phase-integral quality, so every
+    wavenumber may start at S.  One whose cutoff lies beyond S integrates
+    its Riccati tail from there to S; the others take the phase-integral
+    log-derivative at S.
+    """
+    down = side == "right"
+    starts = [cut if switch is None else switch for cut, switch in sides]
+    start = max(starts) if down else min(starts)
+    sols, lds = [], []
+    for k2, (cut, _) in zip(k2s, sides):
+        if cut > start if down else cut < start:
+            sol = _Solution(start)
+            ld, _ = _phase_logderiv(model, cut, k2, side)
+
+            def vs_minus_k2(ts, k2=k2):
+                return model.VS(ts) - k2
+
+            ld = _riccati_tail(sol, vs_minus_k2, ld, cut, span.stops(cut, end),
+                               start, span.jump_map, cfg, down)
+        else:
+            sol = _Solution()
+            ld, _ = _phase_logderiv(model, start, k2, side)
+        sols.append(sol)
+        lds.append(ld)
+    k2s = np.array(k2s)
+
+    def vs_minus_k2s(ts):
+        return model.VS(ts)[:, None] - k2s
+
+    _linear_sweep(sols, vs_minus_k2s, _linear_grid, _GridDOP853, start, lds,
+                  span.stops(start, end), span.jump_map, cfg, down)
+    return sols, start
 
 
 def _wronskian(left_rec, right_rec):
@@ -416,7 +578,9 @@ def _wronskian(left_rec, right_rec):
     return (lp * rq - lq * rp), ls + rs
 
 
-def _solve_green(model, x, y, k, cfg: SolverConfig):
+def _physical_k(k, cfg):
+    """(k, epsilon used): k on the physical sheet, a real k promoted to
+    k + i*epsilon."""
     if k == 0:
         raise WronskianDegenerate("k = 0 is the expansion point, not a sample")
     k = complex(k)
@@ -426,42 +590,17 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
     if k.imag == 0:
         eps_used = cfg.epsilon_imag
         k = complex(k.real, eps_used)
-    k2 = k * k
-    xi, yi = (x, y) if x >= y else (y, x)
+    return k, eps_used
 
-    jump_map = {d.x0: d.delta_weight for d in model.discontinuities
-                if d.delta_weight != 0.0}
-    breaks = sorted(set(model.breakpoints))
 
-    x_r, sw_r = (cfg.cutoff_right, None) if cfg.cutoff_right is not None else \
-        _auto_cutoff(model, xi + 0.5, k2, "right", cfg)
-    x_l, sw_l = (cfg.cutoff_left, None) if cfg.cutoff_left is not None else \
-        _auto_cutoff(model, yi - 0.5, k2, "left", cfg)
-    x_r = max(x_r, xi)
-    x_l = min(x_l, yi)
-
-    checks = [float(c) for c in np.linspace(yi, xi, cfg.check_points)] \
-        if xi > yi else [yi]
-    # consistent one-sided derivatives at the record points
-    checks = [c + 1e-9 if c in breaks else c for c in checks]
-    mid = checks[len(checks) // 2]
-
-    def stops_between(a, b):
-        pts = {b, mid, xi, yi}
-        pts.update(c for c in checks)
-        pts.update(br for br in breaks if min(a, b) < br < max(a, b))
-        keep = [p for p in pts if min(a, b) <= p <= max(a, b)]
-        return sorted(keep, reverse=bool(a > b))
-
-    right = _integrate_side(model, k2, x_r, stops_between(x_r, yi), jump_map,
-                            cfg, sw_r)
-    left = _integrate_side(model, k2, x_l, stops_between(x_l, xi), jump_map,
-                           cfg, sw_l)
-
+def _green_from(span, x, y, k, eps_used, left, right, x_l, x_r):
+    """(sample, diagnostics) from the two sides' solutions at the span's
+    record points; raises WronskianDegenerate where they are nearly
+    proportional."""
+    mid, xi, yi = span.mid, span.xi, span.yi
     w_mid, w_mid_log = _wronskian(left.get(mid), right.get(mid))
     lp, _, ls = left.get(yi)
     rp, _, rs = right.get(xi)
-    scale = max(abs(w_mid), 1e-300)
     lm, lq, lsm = left.get(mid)
     rm, rq, rsm = right.get(mid)
     degeneracy = abs(lm * rq) + abs(lq * rm)
@@ -473,7 +612,7 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
     g = (lp * rp / w_mid) * cmath.exp(ls + rs - w_mid_log)
 
     w_vals = []
-    for c in checks:
+    for c in span.checks:
         wv, wl = _wronskian(left.get(c), right.get(c))
         w_vals.append((wv, wl))
     w_ref = w_vals[len(w_vals) // 2]
@@ -482,7 +621,6 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
         ratio = (wv / w_ref[0]) * cmath.exp(wl - w_ref[1])
         var = max(var, abs(ratio - 1.0))
 
-    defect = None
     wy, wyl = _wronskian(left.get(yi), right.get(yi))
     defect = abs((wy / w_mid) * cmath.exp(wyl - w_mid_log))
 
@@ -492,12 +630,97 @@ def _solve_green(model, x, y, k, cfg: SolverConfig):
         "cutoff_left": x_l,
         "cutoff_right": x_r,
         "wronskian_variation": var,
+        "wronskian_condition": abs(w_mid) / degeneracy,
         "derivative_jump_defect": defect,
         "tail_switch_left": left.switch,
         "tail_switch_right": right.switch,
         "rhs_evals": left.nfev + right.nfev,
     }
     return GreenSample(x=float(x), y=float(y), k=k, value=g), diag
+
+
+def _solve_green(model, x, y, k, cfg: SolverConfig):
+    k, eps_used = _physical_k(k, cfg)
+    k2 = k * k
+    span = _Span(model, x, y, cfg)
+    (x_l, sw_l), (x_r, sw_r) = span.cutoffs(model, k2, cfg)
+    right = _integrate_side(model, k2, x_r, span.stops(x_r, span.yi),
+                            span.jump_map, cfg, sw_r)
+    left = _integrate_side(model, k2, x_l, span.stops(x_l, span.xi),
+                           span.jump_map, cfg, sw_l)
+    return _green_from(span, x, y, k, eps_used, left, right, x_l, x_r)
+
+
+def _each_k(model, x, y, ks, cfg):
+    """(reports, error): ``_solve_green`` over ks up to the first that
+    raises, and what it raised (None if none did)."""
+    reports = []
+    for k in ks:
+        try:
+            reports.append(_solve_green(model, x, y, k, cfg))
+        except LowkGreenError as exc:
+            return reports, exc
+    return reports, None
+
+
+def _grid_reports(model, x, y, ks, cfg):
+    """(reports, error) as ``_each_k`` gives them, with a grid of several
+    wavenumbers integrated as one system per side."""
+    if len(ks) == 1:
+        return _each_k(model, x, y, ks, cfg)
+    span = _Span(model, x, y, cfg)
+    setups, error = [], None
+    for k in ks:
+        try:
+            k, eps_used = _physical_k(k, cfg)
+            setups.append((k, eps_used) + span.cutoffs(model, k * k, cfg))
+        except LowkGreenError as exc:
+            error = exc
+            break
+    if not setups:
+        return [], error
+    k_used, eps_used, left_ends, right_ends = zip(*setups)
+    k2s = [k * k for k in k_used]
+    try:
+        rights, s_r = _integrate_grid_side(model, k2s, right_ends, span,
+                                           span.yi, cfg, "right")
+        lefts, s_l = _integrate_grid_side(model, k2s, left_ends, span,
+                                          span.xi, cfg, "left")
+    except NonconvergedODE:
+        # which wavenumber the solver failed on is the per-k loop's to say
+        reports, failed = _each_k(model, x, y, ks[:len(setups)], cfg)
+        return reports, failed or error
+    reports = []
+    for k, eps, (x_l, _), (x_r, _), left, right in zip(
+            k_used, eps_used, left_ends, right_ends, lefts, rights):
+        try:
+            reports.append(_green_from(span, x, y, k, eps, left, right,
+                                       min(x_l, s_l), max(x_r, s_r)))
+        except WronskianDegenerate as exc:
+            return reports, exc
+    return reports, error
+
+
+def _verified_grid(model, x, y, ks, cfg):
+    """(reports, error) for ks in grid order, with ``verify_epsilon``'s
+    repeat at epsilon/10 for every real k that was solved."""
+    reports, error = _grid_reports(model, x, y, ks, cfg)
+    if not cfg.verify_epsilon:
+        return reports, error
+    real = [i for i in range(len(reports)) if complex(ks[i]).imag == 0]
+    tighter = dataclasses.replace(cfg, epsilon_imag=cfg.epsilon_imag / 10,
+                                  verify_epsilon=False)
+    again, again_error = _grid_reports(model, x, y, [ks[i] for i in real],
+                                       tighter)
+    for j, i in enumerate(real):
+        if j == len(again):
+            return reports[:i], again_error
+        value = reports[i][0].value
+        rel = abs(value - again[j][0].value) / max(abs(value), 1e-300)
+        if rel > 1e-6:
+            return reports[:i], WronskianDegenerate(
+                f"epsilon sensitivity {rel:.2e}: k is too close to a pole")
+    return reports, error
 
 
 def green_exact(model: PotentialModel, x: float, y: float, k,
@@ -508,22 +731,31 @@ def green_exact(model: PotentialModel, x: float, y: float, k,
     computation at epsilon/10 and raises when the two disagree (which
     signals a nearby pole or an unresolved limit).
     """
-    sample, _ = _solve_green(model, x, y, k, cfg)
-    if cfg.verify_epsilon and complex(k).imag == 0:
-        import dataclasses
-        tighter = dataclasses.replace(cfg, epsilon_imag=cfg.epsilon_imag / 10,
-                                      verify_epsilon=False)
-        again, _ = _solve_green(model, x, y, k, tighter)
-        rel = abs(sample.value - again.value) / max(abs(sample.value), 1e-300)
-        if rel > 1e-6:
-            raise WronskianDegenerate(
-                f"epsilon sensitivity {rel:.2e}: k is too close to a pole")
-    return sample
+    return green_exact_grid(model, x, y, [k], cfg)[0][0]
 
 
 def green_exact_report(model, x, y, k, cfg: SolverConfig = SolverConfig()):
     """(sample, diagnostics) variant of green_exact."""
     return _solve_green(model, x, y, k, cfg)
+
+
+def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
+    """[(sample, diagnostics)] over the wavenumbers ``ks``, with
+    green_exact's ``verify_epsilon`` check, raising what the per-k loop of
+    green_exact would raise first.
+
+    One k is solved as green_exact_report solves it.  Several are
+    integrated as one ODE system per side, with shared steps and stops,
+    from the outermost of their linear starts; a k whose cutoff lies
+    further out first integrates its own Riccati tail in to there.  In
+    each k's diagnostics the cutoff is where its boundary data are
+    imposed, the tail switch is the shared start where it has a tail, and
+    ``rhs_evals`` counts its tail's evaluations plus the shared system's.
+    """
+    reports, error = _verified_grid(model, x, y, ks, cfg)
+    if error is not None:
+        raise error
+    return reports
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -672,14 +904,16 @@ def remainder_scaling_fit(model: PotentialModel, x: float, y: float, N: int,
         raise DegenerateFit("need at least three k points")
     res = green_series(model, x, y, N,
                        quad_cfg if quad_cfg is not None else QuadratureConfig())
+    reports, error = _verified_grid(model, x, y, k_grid, cfg)
     resid = []
-    for k in k_grid:
-        sample = green_exact(model, x, y, k, cfg)
+    for k, (sample, _) in zip(k_grid, reports):
         approx = res.g.evaluate(1j * sample.k)
         r = abs(sample.value - approx)
         if r < 1e-13 * max(1.0, abs(sample.value)):
             raise DegenerateFit(
                 f"residual at k={k:g} is below the oracle noise floor")
         resid.append(r)
+    if error is not None:
+        raise error
     slope = float(np.polyfit(np.log(k_grid), np.log(resid), 1)[0])
     return slope

@@ -9,6 +9,7 @@ from scipy.special import jv
 from lowkgreen import oracle
 from lowkgreen.errors import (
     BesselNonconvergence,
+    DegenerateFit,
     NonconvergedODE,
     UnsupportedAsymptotics,
     WronskianDegenerate,
@@ -18,6 +19,7 @@ from lowkgreen.oracle import (
     _linear,
     _phase_logderiv,
     _riccati,
+    _GridDOP853,
     _Solution,
     _solve_segment,
     _StageDOP853,
@@ -25,6 +27,7 @@ from lowkgreen.oracle import (
     green_closed_ex5,
     green_closed_ex6,
     green_exact,
+    green_exact_grid,
     green_exact_report,
     remainder_scaling_fit,
     zero_energy_modes,
@@ -193,6 +196,15 @@ class TestIntegrity:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(UnsupportedAsymptotics):
             green_exact(catalog("free"), 0.5, -0.5, 0.3 - 0.2j, CFG)
+
+    def test_wronskian_condition_flags_a_bound_state(self):
+        # k^2 = 4 is a pole of the parabolic G: the value there is 5.4e-4
+        # off while wronskian_variation reads 2.5e-9
+        par = catalog("parabolic")
+        _, d = green_exact_report(par, 1.2, 1.0, 2.0, CFG)
+        assert d["wronskian_condition"] < 1e-6
+        _, d = green_exact_report(par, 1.2, 1.0, 1.2, CFG)
+        assert d["wronskian_condition"] > 0.1
 
 
 class TestScalingFit:
@@ -492,3 +504,190 @@ class TestStageBatched:
         zero_energy_modes(catalog("barrier", a=1.0))
         assert len(methods) > 10
         assert set(methods) == {_StageDOP853}
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+# k grids integrated as one system per side: (model, params, x, y, ks)
+GRIDS = [
+    ("parabolic", {}, 1.2, 1.0, np.linspace(0.05, 1.2, 10)),
+    ("exponential", {}, 0.5, 0.0, np.linspace(0.1, 0.5, 10)),
+    ("logcosh", {}, 1.5, 0.4, np.geomspace(0.01, 1.0, 10)),
+    ("sqrtwell", {}, 1.0, -0.5, np.geomspace(0.1, 1.0, 8)),
+    # a jump of V_S at z = 1, between the Riccati tails and the batch
+    ("logstep", {"alpha": 1.5}, 1.5, 0.8, np.geomspace(0.001, 0.1, 9)),
+    # zero edges and breakpoints at z = +-1
+    ("barrier", {"a": 1.0}, 0.5, -0.3, np.geomspace(0.01, 1.0, 8)),
+    ("free", {}, 1.2, 0.3, np.linspace(0.1, 2.0, 8)),
+]
+
+CLOSED_FORMS = {
+    "barrier": lambda x, y, k, params: green_closed_ex6(x, y, k, params["a"]),
+    "logstep": lambda x, y, k, params: green_closed_ex5(x, y, k, params["alpha"]),
+}
+
+
+class TestGrid:
+    @pytest.mark.parametrize("name,params,x,y,ks", GRIDS,
+                             ids=[g[0] for g in GRIDS])
+    def test_as_accurate_as_single_samples(self, name, params, x, y, ks):
+        model = catalog(name, **params)
+        tight = SolverConfig(ode_rel_tol=1e-13)
+        closed = CLOSED_FORMS.get(name)
+        grid = green_exact_grid(model, x, y, ks, CFG)
+        assert len(grid) == len(ks)
+        for k, (s, d) in zip(ks, grid):
+            single, _ = green_exact_report(model, x, y, k, CFG)
+            assert s.k == single.k
+            want = green_exact(model, x, y, k, tight).value
+            assert _rel(s.value, want) <= max(2 * _rel(single.value, want), 1e-10)
+            if closed is not None:
+                want = closed(x, y, s.k, params)
+                assert (_rel(s.value, want)
+                        <= max(2 * _rel(single.value, want), 1e-10))
+            assert d["wronskian_variation"] <= 1e-6
+
+    @pytest.mark.parametrize("name,params,x,y,ks", GRIDS,
+                             ids=[g[0] for g in GRIDS])
+    def test_one_k_is_the_single_sample(self, name, params, x, y, ks):
+        model = catalog(name, **params)
+        k = ks[len(ks) // 2]
+        assert green_exact_grid(model, x, y, [k], CFG) == \
+            [green_exact_report(model, x, y, k, CFG)]
+
+    def test_tails_run_in_to_the_shared_start(self):
+        sw = catalog("sqrtwell")
+        ks = [0.05, 0.2, 0.8]
+        grid = green_exact_grid(sw, 1.0, -0.5, ks, CFG)
+        singles = [green_exact_report(sw, 1.0, -0.5, k, CFG)[1] for k in ks]
+        # the smallest k has the outermost switch points: it and every k
+        # whose cutoff lies beyond them run a Riccati tail to there
+        start = singles[0]["tail_switch_right"]
+        assert start > singles[1]["tail_switch_right"]
+        for (_, d), single in zip(grid, singles):
+            assert d["tail_switch_right"] == start
+            assert d["cutoff_right"] == single["cutoff_right"]
+
+    def test_parabolic_work_bound(self, monkeypatch):
+        # one k at a time, the 40-k grid took about 40x its dearest k
+        par = catalog("parabolic")
+        ks = np.linspace(0.05, 1.2, 40)
+        dearest = max(green_exact_report(par, 1.2, 1.0, k, CFG)[1]["rhs_evals"]
+                      for k in ks)
+        nfev = []
+
+        def recording(*args, **kwargs):
+            res = solve_ivp(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(oracle, "solve_ivp", recording)
+        green_exact_grid(par, 1.2, 1.0, ks, CFG)
+        assert 0 < sum(nfev) <= 2 * dearest
+
+    def test_every_grid_solve_goes_through_solve_ivp(self, monkeypatch):
+        methods = []
+
+        def recording(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", recording)
+        # Riccati tails one k at a time, then the batch
+        green_exact_grid(catalog("sqrtwell"), 1.0, -0.5, [0.05, 0.2, 0.8], CFG)
+        assert methods.count(_GridDOP853) > 2
+        assert set(methods) == {_StageDOP853, _GridDOP853}
+
+    def test_error_norm_is_the_worst_k(self):
+        # DOP853's norm of each (psi_k, psi'_k) pair alone, then the largest
+        rng = np.random.default_rng(3)
+        n = 4
+        y0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        solver = _GridDOP853(lambda t, y: y, 0.0, y0, 1.0,
+                             coeff=lambda ts: np.ones((ts.size, n)),
+                             stage=oracle._linear_grid)
+        K = rng.normal(size=(13, 2 * n)) + 1j * rng.normal(size=(13, 2 * n))
+        scale = rng.uniform(0.5, 2.0, 2 * n)
+        h = 0.3
+        alone = []
+        for i in range(n):
+            cols = [i, n + i]
+            one = DOP853(lambda t, y: y, 0.0, y0[cols], 1.0)
+            alone.append(one._estimate_error_norm(K[:, cols], h, scale[cols]))
+        got = solver._estimate_error_norm(K, h, scale)
+        assert abs(got - max(alone)) <= 1e-14 * max(alone)
+
+
+class TestGridErrors:
+    """A grid raises what the loop [green_exact(...) for k in ks] raised
+    first, in grid order."""
+
+    @staticmethod
+    def both_raise(want, model, x, y, ks, cfg=CFG):
+        with pytest.raises(want) as loop:
+            [green_exact(model, x, y, k, cfg) for k in ks]
+        with pytest.raises(want) as grid:
+            green_exact_grid(model, x, y, ks, cfg)
+        assert type(grid.value) is type(loop.value) is want
+
+    @pytest.mark.parametrize("ks,want", [
+        ([0.3, 0.0, 0.5], WronskianDegenerate),
+        ([0.3, 0.2 - 0.1j, 0.0], UnsupportedAsymptotics),
+        ([0.3, 0.0, 0.2 - 0.1j], WronskianDegenerate),
+        ([0.0, 0.3], WronskianDegenerate),
+    ])
+    def test_wavenumbers_off_the_sheet(self, ks, want):
+        self.both_raise(want, catalog("free"), 1.2, 0.3, ks)
+
+    @pytest.mark.parametrize("ks,want", [
+        ([0.1, 0.5, 0.0], NonconvergedODE),
+        ([0.1, 0.0, 0.5], WronskianDegenerate),
+    ])
+    def test_failed_cutoff_search(self, monkeypatch, ks, want):
+        search = oracle._auto_cutoff
+
+        def failing(model, inner, k2, side, cfg):
+            if abs(k2) > 0.2:
+                raise NonconvergedODE(f"no usable {side} cutoff found")
+            return search(model, inner, k2, side, cfg)
+
+        monkeypatch.setattr(oracle, "_auto_cutoff", failing)
+        self.both_raise(want, catalog("sqrtwell"), 1.0, -0.5, ks)
+
+    @pytest.mark.parametrize("ks,want", [
+        ([0.5, 2.0, 0.3 - 0.1j], WronskianDegenerate),
+        ([0.3 - 0.1j, 2.0], UnsupportedAsymptotics),
+    ])
+    def test_degenerate_wronskian(self, ks, want):
+        # without the regulator, k = 2 sits on a bound state of parabolic
+        cfg = SolverConfig(epsilon_imag=0.0)
+        self.both_raise(want, catalog("parabolic"), 1.2, 1.0, ks, cfg)
+
+    def test_verify_epsilon(self):
+        import dataclasses
+        cfg = dataclasses.replace(CFG, verify_epsilon=True)
+        par = catalog("parabolic")
+        # the pole at k^2 = 2 fails the check before the later k is refused
+        self.both_raise(WronskianDegenerate, par, 0.9, -0.4,
+                        [0.9, math.sqrt(2.0), 0.3 - 0.1j], cfg)
+        ks = [0.3, 0.5, 0.7]
+        assert green_exact_grid(par, 0.9, -0.4, ks, cfg) == \
+            green_exact_grid(par, 0.9, -0.4, ks, CFG)
+
+    def test_failed_batch_falls_back_to_the_per_k_loop(self, monkeypatch):
+        monkeypatch.setattr(_GridDOP853, "_estimate_error_norm",
+                            lambda self, K, h, scale: 2.0)
+        par = catalog("parabolic")
+        ks = [0.3, 0.6, 0.9]
+        assert green_exact_grid(par, 1.2, 1.0, ks, CFG) == \
+            [green_exact_report(par, 1.2, 1.0, k, CFG) for k in ks]
+
+    def test_scaling_fit_checks_in_grid_order(self):
+        # the free G's N=4 series is exact to rounding at k = 0.01
+        free = catalog("free")
+        with pytest.raises(DegenerateFit):
+            remainder_scaling_fit(free, 0.5, 0.3, 4, [0.01, 0.02, 0.0, 0.04], CFG)
+        with pytest.raises(WronskianDegenerate):
+            remainder_scaling_fit(free, 0.5, 0.3, 4, [0.0, 0.01, 0.02, 0.04], CFG)
