@@ -40,6 +40,7 @@ from .potential import (
     EndpointClass,
     EndpointKind,
     PotentialModel,
+    check_positions,
     classification,
     max_valid_order,
     power_law,
@@ -275,6 +276,7 @@ def _case_engine(model: PotentialModel, case: CaseTag, cfg: QuadratureConfig,
 def _oriented(model: PotentialModel, x: float, y: float):
     """(case, reflected, model, x, y): the model in its classified
     orientation and the positions, ordered x >= y, mapped onto it."""
+    check_positions(x, y)
     if x < y:
         x, y = y, x
     case, reflected = classification(model)
@@ -484,6 +486,7 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
     """
     from .oracle import SolverConfig, zero_energy_modes
 
+    check_positions(x, y)
     xo, yo = float(x), float(y)
     if x < y:
         x, y = y, x

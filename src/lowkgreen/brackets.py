@@ -10,8 +10,14 @@ Evaluation is one cumulative pass per level: with the innermost level
 integrated first, level j is the running integral of (weight_j * level_{j-1}),
 so the cost is linear in depth.  Semi-infinite ends are truncated where the
 declared decay bounds the dropped tail below ``truncation_tail_tol``.
-``build_states`` makes the same pass for every sign sequence of a
-coefficient family at once, summed by the partial sums of their signs.
+
+One level loop, ``_run_levels``, serves every ordered integral, on the span
+that one cut routine, ``_cut_span``, gives.  It fits level 0 on
+``_initial_edges`` and every later level on level 0's leaves, each at
+rel_tol / (2 depth).  Each level holds one function per state:
+``build_states`` runs it over every sign sequence of a coefficient family
+at once, summed by the partial sums of their signs, and ``build_chain``
+runs one sign sequence as a path with one state per level.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ class BracketSpec:
             raise InvalidSpec("signs must be a non-empty tuple of +-1")
         if not self.lower <= self.upper:
             raise InvalidSpec(f"lower {self.lower} > upper {self.upper}")
+        if self.lower == math.inf or self.upper == -math.inf:
+            raise InvalidSpec("an ordered integral cannot start at +infinity "
+                              "or end at -infinity")
         if self.kind is BracketKind.ANGLE_LEFT:
             if not math.isinf(self.lower) or self.lower > 0:
                 raise InvalidSpec("angle-left brackets start at -infinity")
@@ -62,6 +71,12 @@ class BracketSpec:
     @property
     def depth(self) -> int:
         return len(self.signs)
+
+    @property
+    def right_anchored(self) -> bool:
+        """Whether the chain runs from the right: the upper end is infinite
+        and the lower one finite, so the lower end is the open one."""
+        return math.isinf(self.upper) and not math.isinf(self.lower)
 
     def sign_string(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
@@ -206,13 +221,82 @@ def _ladder(near: float, far: float) -> list:
 
 
 def _initial_edges(model, lo, hi):
-    if math.isinf(lo) or math.isinf(hi):
-        raise AssertionError("cuts must be applied before building edges")
     edges = set(_ladder(hi, lo))
     edges.update(_ladder(lo, hi))
     edges.update(b for b in model.breakpoints if lo < b < hi)
     edges.update((lo, hi))
     return sorted(edges)
+
+
+def _cut_span(model: PotentialModel, spec: BracketSpec, weights: list,
+              depth: int, cfg: QuadratureConfig,
+              open_anchor: Optional[float] = None) -> tuple:
+    """The finite span (lo, hi) that the levels of ``spec`` run over.
+
+    A finite end stays where it is, moved out to ``open_anchor`` if that
+    lies beyond it.  An infinite end is cut where the tail dropped by the
+    depth-``depth`` integral is below ``truncation_tail_tol``, judged on
+    weights[0], the factor next to it (``weights`` are in level order), and
+    pulled in until every weight is representable.  A doubly infinite
+    span is cut on both sides of 0 and exists at depth 1 only.
+    """
+    def cut(side, anchor):
+        decay = _edge_weight_decay(model, spec, side)
+        direction = -1 if side == "left" else 1
+        return _clip_overflow(weights, anchor, _find_cut(
+            weights[0], anchor, direction, depth, decay, cfg))
+
+    lo, hi = spec.lower, spec.upper
+    if math.isinf(lo) and math.isinf(hi):
+        if depth > 1:
+            raise InvalidSpec(
+                "doubly infinite brackets are supported at depth 1 only")
+        return cut("left", 0.0), cut("right", 0.0)
+    if open_anchor is None:
+        anchor = lo if spec.right_anchored else hi
+    else:
+        anchor = min(lo, open_anchor) if spec.right_anchored else max(hi, open_anchor)
+    if math.isinf(anchor):
+        raise InvalidSpec("the open end of a chain needs a finite anchor")
+    if spec.right_anchored:
+        return anchor, cut("right", anchor)
+    return (cut("left", anchor) if math.isinf(lo) else lo), anchor
+
+
+def _run_levels(model: PotentialModel, cfg: QuadratureConfig, first,
+                starts: dict, step, depth: int, lo: float, hi: float,
+                from_right: bool) -> tuple:
+    """The level loop behind every ordered integral, on [lo, hi].
+
+    Level 0 is the cumulative integral C of ``first``, fitted on
+    ``_initial_edges``, and holds {r: (c, C)} for every ``starts[r] = c``.
+    Each later level j maps states to (scalar, cumulative integral of an
+    integrand), where ``step(j, level)`` gives {r: (c, integrand)} from the
+    level before.  Every fit uses the tolerance rel_tol / (2 depth), and
+    the cumulative integrals vanish at the anchored end (the right one
+    when ``from_right``).  Returns (one dict per level, the sum of the fit
+    residuals).
+    """
+    level_tol = cfg.rel_tol / (2.0 * max(1, depth))
+    residual = 0.0
+
+    def chain(integrand, edges):
+        nonlocal residual
+        fit = build_chebfun(integrand, edges, rel_tol=level_tol,
+                            abs_floor=cfg.abs_tol, max_depth=cfg.max_depth)
+        residual += fit.fit_residual
+        return fit.antiderivative(from_right=from_right)
+
+    head = chain(first, _initial_edges(model, lo, hi))
+    level = {r: (c, head) for r, c in starts.items()}
+    table = [level]
+    for j in range(1, depth):
+        # every later fit starts from level 0's leaves: inheriting the
+        # previous level's leaves lets them pile up from level to level
+        level = {r: (c, chain(integrand, head.edges))
+                 for r, (c, integrand) in step(j, level).items()}
+        table.append(level)
+    return table, residual
 
 
 def build_chain(spec: BracketSpec, model: PotentialModel,
@@ -228,60 +312,29 @@ def build_chain(spec: BracketSpec, model: PotentialModel,
     bounds the variable end (the largest upper limit that will be
     requested for a left-anchored chain, or the smallest lower limit for a
     right-anchored one).
+
+    The sign sequence runs through ``_run_levels`` as a path with one
+    state per level: level 0 integrates the slot weight at the far end
+    from the anchor, and each later level the next slot's e^{sigma V}
+    times the level before.  An empty span [a, a] gives the zero chain.
     """
     weights = _weight_factory(model, spec)
-    lo, hi = spec.lower, spec.upper
-    n = spec.depth
+    if spec.right_anchored:
+        weights.reverse()
+    lo, hi = _cut_span(model, spec, weights, spec.depth, cfg, open_anchor)
+    if lo == hi:
+        # the zero function, on a unit panel so that it evaluates anywhere
+        return PiecewiseChebFun([lo, lo + 1.0], np.zeros((1, 2)))
 
-    if math.isinf(lo) and math.isinf(hi):
-        if n > 1:
-            raise InvalidSpec(
-                "doubly infinite brackets are supported at depth 1 only")
-        decay_l = _edge_weight_decay(model, spec, "left")
-        decay_r = _edge_weight_decay(model, spec, "right")
-        cut_lo = _clip_overflow(weights, 0.0, _find_cut(weights[0], 0.0, -1, n, decay_l, cfg))
-        cut_hi = _clip_overflow(weights, 0.0, _find_cut(weights[0], 0.0, +1, n, decay_r, cfg))
-        return _run_chain(weights, model, cfg, cut_lo, cut_hi, from_right=False)
+    def step(j, level):
+        w, h = weights[j], level[0][1]
+        return {0: (1.0, lambda z: np.asarray(w(z)) * h(z))}
 
-    if math.isinf(lo):
-        anchor = hi if open_anchor is None else max(hi, open_anchor)
-        if math.isinf(anchor):
-            raise InvalidSpec("left-anchored chain needs a finite upper anchor")
-        decay = _edge_weight_decay(model, spec, "left")
-        cut = _clip_overflow(weights, anchor,
-                             _find_cut(weights[0], anchor, -1, n, decay, cfg))
-        return _run_chain(weights, model, cfg, cut, anchor, from_right=False)
-
-    if math.isinf(hi):
-        anchor = lo if open_anchor is None else min(lo, open_anchor)
-        decay = _edge_weight_decay(model, spec, "right")
-        cut = _clip_overflow(weights, anchor,
-                             _find_cut(weights[-1], anchor, +1, n, decay, cfg))
-        return _run_chain(weights, model, cfg, anchor, cut, from_right=True)
-
-    top = hi if open_anchor is None else max(hi, open_anchor)
-    return _run_chain(weights, model, cfg, lo, top, from_right=False)
-
-
-def _run_chain(weights, model, cfg, lo, hi, from_right):
-    """Sequential cumulative integration of the weight chain on [lo, hi]."""
-    order = list(reversed(weights)) if from_right else list(weights)
-    edges = _initial_edges(model, lo, hi)
-    level_tol = cfg.rel_tol / (2.0 * max(1, len(weights)))
-    prev: Optional[PiecewiseChebFun] = None
-    err = 0.0
-    for w in order:
-        if prev is None:
-            integrand = w
-        else:
-            integrand = (lambda z, w=w, p=prev: np.asarray(w(z)) * p(z))
-        fit = build_chebfun(integrand, edges, rel_tol=level_tol,
-                            abs_floor=cfg.abs_tol, max_depth=cfg.max_depth)
-        err += fit.fit_residual
-        prev = fit.antiderivative(from_right=from_right)
-        edges = prev.edges
-    return PiecewiseChebFun(prev.edges, prev.coefs,
-                            fit_residual=err + cfg.truncation_tail_tol)
+    table, residual = _run_levels(model, cfg, weights[0], {0: 1.0}, step,
+                                  spec.depth, lo, hi, spec.right_anchored)
+    last = table[-1][0][1]
+    return PiecewiseChebFun(last.edges, last.coefs,
+                            fit_residual=residual + cfg.truncation_tail_tol)
 
 
 def build_states(model: PotentialModel, cfg: QuadratureConfig,
@@ -308,12 +361,14 @@ def build_states(model: PotentialModel, cfg: QuadratureConfig,
 
     Exactly one of ``lower``/``upper`` is infinite.  The finite end anchors
     every chain; the infinite one is cut once, for the deepest level
-    ``depth``, whose tolerance every level shares.  A state is a scalar
-    times an unscaled chain, F = c * H, so a state with one input fits
-    exactly the integrand e^{-+sV} H of one sequence's own chain (scaling
-    an integrand changes how it refines where it underflows), and one with
-    two inputs fits e^{-sV} H_1 - (c_2 / c_1) e^{+sV} H_2.  Returns one dict
-    {r: (c, H)} per level j = 0 .. depth - 1.
+    ``depth``, whose tolerance every level shares.  The recursion is the
+    ``step`` this feeds ``_run_levels``, the level loop of ``build_chain``.
+    A state is a scalar times an unscaled chain, F = c * H, so a state
+    with one input fits exactly the integrand e^{-+sV} H of one sequence's
+    own chain (scaling an integrand changes how it refines where it
+    underflows), and one with two inputs fits
+    e^{-sV} H_1 - (c_2 / c_1) e^{+sV} H_2.  Returns one dict {r: (c, H)}
+    per level j = 0 .. depth - 1.
     """
     if math.isinf(lower) == math.isinf(upper):
         raise InvalidSpec("state chains need exactly one infinite end")
@@ -323,31 +378,9 @@ def build_states(model: PotentialModel, cfg: QuadratureConfig,
     if depth > 1:
         weights += [lambda z: np.exp(-s * model.V(z)),
                     lambda z: np.exp(s * model.V(z))]
-    from_right = math.isinf(upper)
-    anchor = lower if from_right else upper
-    decay = _edge_weight_decay(model, spec, "right" if from_right else "left")
-    cut = _clip_overflow(weights, anchor, _find_cut(
-        weights[0], anchor, 1 if from_right else -1, depth, decay, cfg))
-    lo, hi = (anchor, cut) if from_right else (cut, anchor)
-    return _run_states(weights[0], s, starts, depth, model, cfg, lo, hi, from_right)
+    lo, hi = _cut_span(model, spec, weights, depth, cfg)
 
-
-def _run_states(first, s, starts, depth, model, cfg, lo, hi, from_right):
-    """Level-by-level state table of ``build_states`` on [lo, hi]."""
-    level_tol = cfg.rel_tol / (2.0 * max(1, depth))
-
-    def chain(integrand, edges):
-        fit = build_chebfun(integrand, edges, rel_tol=level_tol,
-                            abs_floor=cfg.abs_tol, max_depth=cfg.max_depth)
-        return fit.antiderivative(from_right=from_right)
-
-    head = chain(first, _initial_edges(model, lo, hi))
-    # every later fit starts from the first level's leaves: inheriting the
-    # previous level's leaves lets them pile up from level to level
-    edges = head.edges
-    level = {r: (c, head) for r, c in starts.items() if 0 <= r < depth}
-    table = [level]
-    for j in range(1, depth):
+    def step(j, level):
         nxt = {}
         for r in range(depth - j):
             down, up = level.get(r - 1), level.get(r + 1)
@@ -358,25 +391,26 @@ def _run_states(first, s, starts, depth, model, cfg, lo, hi, from_right):
                     v = model.V(z)
                     return (np.exp(-s * v) * h1(z)
                             - ratio * (np.exp(s * v) * h2(z)))
-                c = (1 + r) * down[0]
+                nxt[r] = ((1 + r) * down[0], integrand)
             elif down:
-                integrand = lambda z, h=down[1]: np.exp(-s * model.V(z)) * h(z)
-                c = (1 + r) * down[0]
+                nxt[r] = ((1 + r) * down[0], lambda z, h=down[1]:
+                          np.exp(-s * model.V(z)) * h(z))
             elif up:
-                integrand = lambda z, h=up[1]: np.exp(s * model.V(z)) * h(z)
-                c = -(1 + r) * up[0]
-            else:
-                continue
-            nxt[r] = (c, chain(integrand, edges))
-        level = nxt
-        table.append(level)
+                nxt[r] = (-(1 + r) * up[0], lambda z, h=up[1]:
+                          np.exp(s * model.V(z)) * h(z))
+        return nxt
+
+    table, _ = _run_levels(
+        model, cfg, weights[0],
+        {r: c for r, c in starts.items() if 0 <= r < depth},
+        step, depth, lo, hi, spec.right_anchored)
     return table
 
 
 def chain_value(spec: BracketSpec, chain: PiecewiseChebFun) -> float:
     """The bracket's value: its chain at the open end, which is the
     truncation cut when that end is infinite."""
-    if math.isinf(spec.upper) and not math.isinf(spec.lower):
+    if spec.right_anchored:
         return float(chain(spec.lower))
     return float(chain(chain.hi if math.isinf(spec.upper) else spec.upper))
 
@@ -399,9 +433,6 @@ def cumulative_bracket(spec: BracketSpec, model: PotentialModel,
         return np.zeros(0)
     if np.any(np.diff(grid) < 0):
         raise InvalidSpec("grid must be sorted ascending")
-    if math.isinf(spec.upper) and not math.isinf(spec.lower):
-        anchor = float(grid[0])
-    else:
-        anchor = float(grid[-1])
+    anchor = float(grid[0] if spec.right_anchored else grid[-1])
     chain = build_chain(spec, model, cfg, open_anchor=anchor)
     return np.asarray(chain(grid), dtype=float)

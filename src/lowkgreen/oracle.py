@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedAsymptotics,
     WronskianDegenerate,
 )
-from .potential import PotentialModel
+from .potential import PotentialModel, check_positions
 
 
 @dataclass(frozen=True)
@@ -416,6 +416,7 @@ class _Span:
     and the stops of an integration."""
 
     def __init__(self, model, x, y, cfg):
+        check_positions(x, y)
         self.xi, self.yi = xi, yi = (x, y) if x >= y else (y, x)
         self.jump_map = {d.x0: d.delta_weight for d in model.discontinuities
                          if d.delta_weight != 0.0}

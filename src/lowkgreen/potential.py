@@ -172,6 +172,12 @@ _CANONICAL = {
 }
 
 
+def check_positions(x: float, y: float) -> None:
+    """Raise InvalidSpec unless both positions are finite numbers."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidSpec(f"positions must be finite (x={x}, y={y})")
+
+
 def classification(model: PotentialModel):
     """(CaseTag, reflected) for the model's endpoint kinds.
 

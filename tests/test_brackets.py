@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 from scipy import integrate
 from scipy.special import erfcx, shichi
 
+from lowkgreen import brackets
 from lowkgreen.brackets import (
     BracketKind,
+    build_chain,
     BracketSpec,
     QuadratureConfig,
     cumulative_bracket,
     eval_bracket,
 )
+from lowkgreen.cli import main
 from lowkgreen.errors import DivergentTail, InvalidSpec
 from lowkgreen.potential import (
     EXPONENTIAL,
@@ -45,6 +49,18 @@ class TestSpecValidation:
     def test_ordering(self):
         with pytest.raises(InvalidSpec):
             BracketSpec(PLAIN, (1,), 2.0, 1.0)
+
+    @pytest.mark.parametrize("lo,hi", [(INF, INF), (-INF, -INF), (0.0, -INF)])
+    def test_no_start_at_plus_or_end_at_minus_infinity(self, lo, hi):
+        with pytest.raises(InvalidSpec):
+            BracketSpec(PLAIN, (-1,), lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [("inf", "inf"), ("-inf", "-inf")])
+    def test_infinite_point_span_exit_2(self, capsys, lo, hi):
+        code = main(["brackets", "parabolic", "--plain", "-",
+                     "--lower", lo, "--upper", hi])
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_signs(self):
         with pytest.raises(InvalidSpec):
@@ -83,6 +99,19 @@ class TestElementary:
         free = catalog("free")
         with pytest.raises(DivergentTail):
             eval_bracket(plain((-1,), -INF, 0.0), free, CFG)
+
+    @pytest.mark.parametrize("signs", [(1,), (-1, 1, 1)])
+    def test_empty_span_is_zero(self, signs):
+        para = catalog("parabolic")
+        assert eval_bracket(plain(signs, 0.7, 0.7), para, CFG) == 0.0
+        vals = cumulative_bracket(plain(signs, 0.7, 0.7), para, [0.7, 0.7], CFG)
+        assert np.all(vals == 0.0)
+
+    def test_empty_span_cli(self, capsys):
+        code = main(["brackets", "free", "--plain", "+",
+                     "--lower", "1", "--upper", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
     def test_doubly_infinite_depth_limit(self):
         para = catalog("parabolic")
@@ -194,3 +223,40 @@ class TestInvariants:
         for z, v in zip(grid, vals):
             single = eval_bracket(plain((-1, -1, 1), -INF, z), lc, CFG)
             assert abs(v - single) < 1e-10 * max(1.0, abs(single))
+
+
+class TestLevelLoop:
+    """``build_chain`` runs the level loop that ``build_states`` runs."""
+
+    @staticmethod
+    def record_fits(monkeypatch):
+        fits = []
+        real = brackets.build_chebfun
+
+        def recording(f, edges, **kwargs):
+            fit = real(f, edges, **kwargs)
+            fits.append((np.asarray(edges, dtype=float), fit))
+            return fit
+
+        monkeypatch.setattr(brackets, "build_chebfun", recording)
+        return fits
+
+    @pytest.mark.parametrize("name,spec", [
+        ("parabolic", plain((-1, -1, 1), -INF, 1.2)),
+        ("parabolic", plain((1, -1, -1), 1.2, INF)),
+        ("logcosh", plain((-1, 1, 1, -1), -0.5, 1.5)),
+        ("exponential", BracketSpec(ALEFT, (-1, 1, -1), -INF, 0.5)),
+    ])
+    def test_later_levels_fit_on_level_zero_leaves(self, monkeypatch, name, spec):
+        fits = self.record_fits(monkeypatch)
+        build_chain(spec, catalog(name), CFG)
+        assert len(fits) == spec.depth
+        head = fits[0][1].edges
+        for edges, _ in fits[1:]:
+            assert np.array_equal(edges, head)
+
+    def test_parabolic_three_deep_panels(self, monkeypatch):
+        # inheriting each level's leaves took 41 + 86 + 86 = 213 panels
+        fits = self.record_fits(monkeypatch)
+        build_chain(plain((-1, -1, 1), -INF, 1.2), catalog("parabolic"), CFG)
+        assert sum(len(fit.coefs) for _, fit in fits) < 213

@@ -143,6 +143,26 @@ class TestBrackets:
         assert "tail" in err or "failure" in err
 
 
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "barrier", "--a", "1", "--x", "inf", "--y", "0.5",
+         "--k-start", "0.1", "--k-stop", "0.2", "--k-count", "2"],
+        ["oracle", "barrier", "--a", "1", "--x", "nan", "--y", "0.5",
+         "--k-start", "0.1", "--k-stop", "0.2", "--k-count", "1"],
+        ["expand", "barrier", "--a", "1", "--generic", "--x", "nan",
+         "--y", "0", "--order", "1"],
+        ["oracle", "sqrtwell", "--x", "nan"],
+        ["expand", "parabolic", "--x", "nan"],
+        ["compare", "parabolic", "--y", "-inf", "--k-count", "2"],
+    ], ids=["oracle-inf-grid", "oracle-nan-single", "expand-generic-nan",
+            "oracle-nan-default-grid", "expand-nan", "compare-minus-inf"])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "positions must be finite" in err
+
+
 class TestScaling:
     def test_logstep(self, capsys):
         code, out, _ = run(capsys, "scaling", "logstep", "--alpha", "1.5",
