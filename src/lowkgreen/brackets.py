@@ -52,6 +52,9 @@ class BracketSpec:
         object.__setattr__(self, "signs", signs)
         if len(signs) < 1 or any(s not in (-1, 1) for s in signs):
             raise InvalidSpec("signs must be a non-empty tuple of +-1")
+        for name in ("lower", "upper"):
+            if math.isnan(getattr(self, name)):
+                raise InvalidSpec(f"{name} limit is NaN")
         if not self.lower <= self.upper:
             raise InvalidSpec(f"lower {self.lower} > upper {self.upper}")
         if self.lower == math.inf or self.upper == -math.inf:
@@ -431,6 +434,8 @@ def cumulative_bracket(spec: BracketSpec, model: PotentialModel,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         return np.zeros(0)
+    if np.isnan(grid).any():
+        raise InvalidSpec("grid points must not be NaN")
     if np.any(np.diff(grid) < 0):
         raise InvalidSpec("grid must be sorted ascending")
     anchor = float(grid[0] if spec.right_anchored else grid[-1])

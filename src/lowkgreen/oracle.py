@@ -12,10 +12,12 @@ Every solve runs DOP853's tableau under scipy's step-size controller and
 takes stock DOP853's steps, with values within the ODE tolerance: V_S is
 evaluated once per step at all of the step's stage abscissae, the stages
 are combined in plain Python floats, and V_S is taken from inside each
-segment, never from across the breakpoint a segment ends on.  A grid of
-several k runs one batched system per side, from the outermost of the
-grid's linear starts, with per-k Riccati tails in to that shared start;
-single samples are solved one k at a time as above.
+segment, never from across the breakpoint a segment ends on.  Every
+request takes one path: a grid of k runs one system per side, from the
+outermost of the grid's linear starts, with per-k Riccati tails in to
+that shared start, and a single sample is the grid of one k.  Only the
+stepper depends on the number of k: one k combines its stages in plain
+Python floats, several combine theirs with numpy.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -503,60 +505,34 @@ def _linear_sweep(sols, coeff, stage, method, start, lds, stops, jump_map,
             sol.add(here, p, d, logscale[i])
 
 
-def _integrate_side(model, k2, start, stops, jump_map, cfg,
-                    switch=None) -> _Solution:
-    """Integrate from ``start`` through ``stops`` (monotone toward the last),
-    recording the state at every stop; delta weights flip psi' en route.
-
-    With a ``switch`` point, the tail from ``start`` to it carries only the
-    log-derivative u = psi'/psi, through the Riccati equation
-    u' = (V_S - k^2) - u^2, and the linear integration starts there from
-    (1, u).  G does not depend on the normalization of either side's
-    solution, so this is exact; inward, the equation is neutral for an
-    outgoing wave and damping for a decaying one.
-    """
-    sol = _Solution(switch)
-    side = "right" if start >= stops[-1] else "left"
-    ld, _ = _phase_logderiv(model, start, k2, side)
-    down = start > stops[-1]
-
-    def vs_minus_k2(ts):
-        return model.VS(ts) - k2
-
-    if switch is not None:
-        ld = _riccati_tail(sol, vs_minus_k2, ld, start, stops, switch,
-                           jump_map, cfg, down)
-        stops = [p for p in stops if not (p > switch if down else p < switch)]
-        start = switch
-    _linear_sweep([sol], vs_minus_k2, _linear, _StageDOP853, start, [ld],
-                  stops, jump_map, cfg, down)
-    return sol
-
-
 def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
     """(solutions, S): one _Solution per wavenumber, from each (cutoff,
     switch) of ``sides`` to ``end``, with the linear parts run as one
     system from S, the outermost of the linear starts (the switch point,
-    or the cutoff where there is none).
+    or the cutoff where there is none).  One wavenumber is stepped by
+    _StageDOP853, several by _GridDOP853.
 
     A confining cutoff further out only adds suppression, and a ladder
     rung further out only improves the phase-integral quality, so every
-    wavenumber may start at S.  One whose cutoff lies beyond S integrates
-    its Riccati tail from there to S; the others take the phase-integral
-    log-derivative at S.
+    wavenumber may start at S.  One whose cutoff lies beyond S carries
+    only the log-derivative u = psi'/psi from there in to S, through the
+    Riccati equation u' = (V_S - k^2) - u^2, and its linear integration
+    starts at S from (1, u); the others take the phase-integral
+    log-derivative at S.  G does not depend on the normalization of
+    either side's solution, so this is exact; inward, the equation is
+    neutral for an outgoing wave and damping for a decaying one.
     """
     down = side == "right"
     starts = [cut if switch is None else switch for cut, switch in sides]
     start = max(starts) if down else min(starts)
     sols, lds = [], []
     for k2, (cut, _) in zip(k2s, sides):
+        def vs_minus_k2(ts, k2=k2):
+            return model.VS(ts) - k2
+
         if cut > start if down else cut < start:
             sol = _Solution(start)
             ld, _ = _phase_logderiv(model, cut, k2, side)
-
-            def vs_minus_k2(ts, k2=k2):
-                return model.VS(ts) - k2
-
             ld = _riccati_tail(sol, vs_minus_k2, ld, cut, span.stops(cut, end),
                                start, span.jump_map, cfg, down)
         else:
@@ -564,12 +540,17 @@ def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
             ld, _ = _phase_logderiv(model, start, k2, side)
         sols.append(sol)
         lds.append(ld)
-    k2s = np.array(k2s)
+    if len(sols) == 1:
+        # the one wavenumber's V_S - k^2, in the plain-float stepper
+        coeff, stage, method = vs_minus_k2, _linear, _StageDOP853
+    else:
+        k2s = np.array(k2s)
 
-    def vs_minus_k2s(ts):
-        return model.VS(ts)[:, None] - k2s
+        def coeff(ts):
+            return model.VS(ts)[:, None] - k2s
 
-    _linear_sweep(sols, vs_minus_k2s, _linear_grid, _GridDOP853, start, lds,
+        stage, method = _linear_grid, _GridDOP853
+    _linear_sweep(sols, coeff, stage, method, start, lds,
                   span.stops(start, end), span.jump_map, cfg, down)
     return sols, start
 
@@ -641,15 +622,11 @@ def _green_from(span, x, y, k, eps_used, left, right, x_l, x_r):
 
 
 def _solve_green(model, x, y, k, cfg: SolverConfig):
-    k, eps_used = _physical_k(k, cfg)
-    k2 = k * k
-    span = _Span(model, x, y, cfg)
-    (x_l, sw_l), (x_r, sw_r) = span.cutoffs(model, k2, cfg)
-    right = _integrate_side(model, k2, x_r, span.stops(x_r, span.yi),
-                            span.jump_map, cfg, sw_r)
-    left = _integrate_side(model, k2, x_l, span.stops(x_l, span.xi),
-                           span.jump_map, cfg, sw_l)
-    return _green_from(span, x, y, k, eps_used, left, right, x_l, x_r)
+    """(sample, diagnostics) at one k: the grid of that k alone."""
+    reports, error = _solve_grid(model, x, y, [k], cfg)
+    if error is not None:
+        raise error
+    return reports[0]
 
 
 def _each_k(model, x, y, ks, cfg):
@@ -665,10 +642,16 @@ def _each_k(model, x, y, ks, cfg):
 
 
 def _grid_reports(model, x, y, ks, cfg):
-    """(reports, error) as ``_each_k`` gives them, with a grid of several
-    wavenumbers integrated as one system per side."""
+    """(reports, error) as ``_each_k`` gives them; one k is its single
+    sample."""
     if len(ks) == 1:
         return _each_k(model, x, y, ks, cfg)
+    return _solve_grid(model, x, y, ks, cfg)
+
+
+def _solve_grid(model, x, y, ks, cfg):
+    """(reports, error) as ``_each_k`` gives them, with the wavenumbers
+    ``ks`` integrated as one system per side."""
     span = _Span(model, x, y, cfg)
     setups, error = [], None
     for k in ks:
@@ -687,7 +670,9 @@ def _grid_reports(model, x, y, ks, cfg):
                                            span.yi, cfg, "right")
         lefts, s_l = _integrate_grid_side(model, k2s, left_ends, span,
                                           span.xi, cfg, "left")
-    except NonconvergedODE:
+    except NonconvergedODE as exc:
+        if len(ks) == 1:
+            return [], exc
         # which wavenumber the solver failed on is the per-k loop's to say
         reports, failed = _each_k(model, x, y, ks[:len(setups)], cfg)
         return reports, failed or error
@@ -732,12 +717,12 @@ def green_exact(model: PotentialModel, x: float, y: float, k,
     computation at epsilon/10 and raises when the two disagree (which
     signals a nearby pole or an unresolved limit).
     """
-    return green_exact_grid(model, x, y, [k], cfg)[0][0]
+    return green_exact_report(model, x, y, k, cfg)[0]
 
 
 def green_exact_report(model, x, y, k, cfg: SolverConfig = SolverConfig()):
     """(sample, diagnostics) variant of green_exact."""
-    return _solve_green(model, x, y, k, cfg)
+    return green_exact_grid(model, x, y, [k], cfg)[0]
 
 
 def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
@@ -745,11 +730,11 @@ def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
     green_exact's ``verify_epsilon`` check, raising what the per-k loop of
     green_exact would raise first.
 
-    One k is solved as green_exact_report solves it.  Several are
-    integrated as one ODE system per side, with shared steps and stops,
-    from the outermost of their linear starts; a k whose cutoff lies
-    further out first integrates its own Riccati tail in to there.  In
-    each k's diagnostics the cutoff is where its boundary data are
+    The wavenumbers are integrated as one ODE system per side, with
+    shared steps and stops, from the outermost of their linear starts; a
+    k whose cutoff lies further out first integrates its own Riccati tail
+    in to there.  One k takes the same path with the plain-float stepper.
+    In each k's diagnostics the cutoff is where its boundary data are
     imposed, the tail switch is the shared start where it has a tail, and
     ``rhs_evals`` counts its tail's evaluations plus the shared system's.
     """

@@ -62,6 +62,27 @@ class TestSpecValidation:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("lo,hi,name", [(math.nan, 1.0, "lower"),
+                                            (0.0, math.nan, "upper"),
+                                            (math.nan, math.nan, "lower")])
+    def test_nan_limit(self, lo, hi, name):
+        with pytest.raises(InvalidSpec, match=f"^{name} limit is NaN$"):
+            BracketSpec(PLAIN, (-1,), lo, hi)
+
+    def test_nan_limit_exit_2(self, capsys):
+        code = main(["brackets", "parabolic", "--plain", "-",
+                     "--lower", "nan", "--upper", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: lower limit is NaN\n"
+
+    @pytest.mark.parametrize("grid", [[-1.0, math.nan], [math.nan, -1.0],
+                                      [math.nan]])
+    def test_nan_grid_point(self, grid):
+        with pytest.raises(InvalidSpec, match="NaN"):
+            cumulative_bracket(plain((-1,), -INF, 0.0), catalog("parabolic"),
+                               grid, CFG)
+
     def test_bad_signs(self):
         with pytest.raises(InvalidSpec):
             BracketSpec(PLAIN, (), 0.0, 1.0)

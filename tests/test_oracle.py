@@ -10,6 +10,7 @@ from lowkgreen import oracle
 from lowkgreen.errors import (
     BesselNonconvergence,
     DegenerateFit,
+    InvalidSpec,
     NonconvergedODE,
     UnsupportedAsymptotics,
     WronskianDegenerate,
@@ -675,6 +676,30 @@ class TestGridErrors:
         ks = [0.3, 0.5, 0.7]
         assert green_exact_grid(par, 0.9, -0.4, ks, cfg) == \
             green_exact_grid(par, 0.9, -0.4, ks, CFG)
+        with pytest.raises(WronskianDegenerate, match="epsilon sensitivity"):
+            green_exact_report(par, 0.9, -0.4, math.sqrt(2.0), cfg)
+        assert green_exact_report(par, 0.9, -0.4, 0.5, cfg) == \
+            green_exact_report(par, 0.9, -0.4, 0.5, CFG)
+
+    @pytest.mark.parametrize("ks", [[0.0], [0.0, 0.3], [0.3 - 0.1j, 0.3]])
+    def test_positions_before_wavenumbers(self, ks):
+        self.both_raise(InvalidSpec, catalog("free"), math.nan, 0.0, ks)
+
+    def test_one_k_failure_is_not_retried(self, monkeypatch):
+        # one k has no batch to fall back from: its solver error is raised
+        monkeypatch.setattr(_StageDOP853, "_estimate_error_norm",
+                            lambda self, K, h, scale: 2.0)
+        calls = []
+        solve_green = oracle._solve_green
+
+        def counting(*args):
+            calls.append(args)
+            return solve_green(*args)
+
+        monkeypatch.setattr(oracle, "_solve_green", counting)
+        with pytest.raises(NonconvergedODE):
+            green_exact_report(catalog("parabolic"), 1.2, 1.0, 0.3, CFG)
+        assert len(calls) == 1
 
     def test_failed_batch_falls_back_to_the_per_k_loop(self, monkeypatch):
         monkeypatch.setattr(_GridDOP853, "_estimate_error_norm",
