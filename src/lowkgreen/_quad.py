@@ -15,10 +15,16 @@ depth is sampled in a single call of the integrand and transformed in a
 single DCT-I.  A panel is split when its trailing Chebyshev coefficients
 fail to fall below the requested tolerance relative to the panel scale,
 or when two probe points off the nodes disagree with the interpolant.
-That decision depends only on the panel itself (its ends, depth, parent
-tail and stall count), never on its neighbours or on the order in which
-panels are visited, so the breadth-first pass keeps exactly the leaves,
-and the sample points, of a depth-first recursion.
+Both thresholds are floored at the smallest normal double: below it a
+value has no relative precision left, and halving the panel cannot help.
+A panel whose tail stops shrinking is accepted as rounding noise only
+where that tail is already small against generation 0's scale (the
+largest coefficient of the initial panels); elsewhere it is
+under-resolved and is split further.  So a decision reads the panel
+itself (its ends, depth, parent tail and stall count) and one number
+fixed before any panel is split, never its neighbours or the order in
+which panels are visited, and the breadth-first pass keeps exactly the
+leaves, and the sample points, of a depth-first recursion.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ DEGREE = 16
 _NODES = np.cos(np.pi * np.arange(DEGREE + 1) / DEGREE)
 # off-node points guarding against deceptive node agreement
 _PROBES = np.array([-0.5219, 0.3874])
+# the smallest normal double: the least acceptance threshold of a panel
+_TINY = np.finfo(float).tiny
+# a residual within this factor of rel_tol times the global scale is
+# rounding noise: a stalled panel may stop there, and a fit may close there
+_NOISE_FACTOR = 1e3
+# a fit that needs more panels than this is not converging: its integrand
+# is noisier than rel_tol allows, or rel_tol is below double precision
+_MAX_PANELS = 1 << 16
 
 
 def cheb_coeffs(values: np.ndarray) -> np.ndarray:
@@ -149,9 +163,12 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
     to converge are tolerated if, after the whole domain is fitted, their
     residual is negligible against the global scale (this is what rounding
     noise near breakpoints and deep tails looks like).  That scale is the
-    largest coefficient of the fit, but at least ``abs_floor``; the floor
-    plays no other part, and every panel is still refined against its own
-    scale.
+    largest coefficient of the fit, but at least ``abs_floor``.  Every
+    panel is refined against its own scale (floored at the smallest normal
+    double), and a panel whose tail stalls stops early only where that tail
+    is within ``_NOISE_FACTOR * rel_tol`` of the largest generation-0
+    coefficient, again at least ``abs_floor``.  A fit that would need more
+    than ``_MAX_PANELS`` panels raises ``ToleranceNotMet``.
     """
     edges = np.asarray(sorted(set(float(e) for e in edges)), dtype=float)
     if len(edges) < 2:
@@ -161,13 +178,16 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
     prev_tail = np.full(len(a), math.inf)
     stalls = np.zeros(len(a), dtype=int)
     leaves_a, leaves_b, leaves_coef, unconverged = [], [], [], []
-    depth = 0
+    leaves = depth = 0
     while a.size:
         coef = cheb_coeffs(_sample(f, a, b, _NODES))
         scale = np.max(np.abs(coef), axis=1)
+        if depth == 0:
+            noise = _NOISE_FACTOR * rel_tol * max(float(np.max(scale)), abs_floor)
         tail = np.max(np.abs(coef[:, -2:]), axis=1)
         degenerate = (b - a) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        ok = (tail <= rel_tol * scale) | degenerate
+        floor = np.maximum(rel_tol * scale, _TINY)
+        ok = (tail <= floor) | degenerate
         probe = np.flatnonzero(ok & ~degenerate & (scale > 0.0))
         if probe.size:
             # guard against deceptive node agreement
@@ -175,20 +195,27 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
             fit = _clenshaw(coef, rows, np.tile(_PROBES, probe.size))
             resid = np.max(np.abs(_sample(f, a[probe], b[probe], _PROBES)
                                   - fit.reshape(-1, len(_PROBES))), axis=1)
-            ok[probe] = resid <= 10.0 * rel_tol * scale[probe]
+            ok[probe] = resid <= 10.0 * floor[probe]
             tail[probe] = np.maximum(tail[probe], resid / 10.0)
         # rounding noise does not improve under subdivision while smooth
         # structure improves spectrally, so a tail that shrinks by less than
         # a factor of ~3 per split has hit the double-precision floor of the
-        # sampled values
+        # sampled values, provided that tail is small against the global
+        # scale; a larger one belongs to a panel still too wide for a
+        # narrow feature
         stalls = np.where(tail > 0.3 * prev_tail, stalls + 1, 0)
-        done = ok | (depth >= max_depth) | (stalls >= 2)
+        done = ok | (depth >= max_depth) | ((stalls >= 2) & (tail <= noise))
         leaves_a.append(a[done])
         leaves_b.append(b[done])
         leaves_coef.append(coef[done])
         unconverged.append(tail[done & ~ok])
         split = ~done
+        pending = a.size
         a, b = a[split], b[split]
+        leaves += pending - a.size
+        if leaves + 2 * a.size > _MAX_PANELS:
+            raise ToleranceNotMet(
+                f"panel refinement needs more than {_MAX_PANELS} panels")
         mid = 0.5 * (a + b)
         a, b = (np.column_stack([a, mid]).ravel(),
                 np.column_stack([mid, b]).ravel())
@@ -205,7 +232,7 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
     if unconverged.size:
         global_scale = max(float(np.max(np.abs(coefs))), abs_floor)
         worst = float(np.max(unconverged)) / global_scale
-        if worst > 1e3 * rel_tol:
+        if worst > _NOISE_FACTOR * rel_tol:
             raise ToleranceNotMet(
                 f"panel refinement hit max depth with residual {worst:.2e}")
         fit_residual = max(rel_tol, worst)

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfcx, shichi
 
-from lowkgreen import brackets
+from lowkgreen import _quad, brackets, coeffgen, green_series
 from lowkgreen.brackets import (
     BracketKind,
     build_chain,
@@ -16,6 +16,7 @@ from lowkgreen.brackets import (
     eval_bracket,
 )
 from lowkgreen.cli import main
+from lowkgreen.coeffgen import Family, Side
 from lowkgreen.errors import DivergentTail, InvalidSpec
 from lowkgreen.potential import (
     EXPONENTIAL,
@@ -25,6 +26,8 @@ from lowkgreen.potential import (
     catalog,
     custom_model,
 )
+
+from test_assembler import neg_exponential_model
 
 INF = math.inf
 CFG = QuadratureConfig()
@@ -281,3 +284,48 @@ class TestLevelLoop:
         fits = self.record_fits(monkeypatch)
         build_chain(plain((-1, -1, 1), -INF, 1.2), catalog("parabolic"), CFG)
         assert sum(len(fit.coefs) for _, fit in fits) < 213
+
+
+class TestRefinementWork:
+    """Work counts, not seconds: panels whose values are subnormal are
+    accepted at the smallest normal double instead of being halved to the
+    depth cap."""
+
+    @staticmethod
+    def record_fits(monkeypatch, index=None, factor=1.0):
+        """Record every fit, with fit ``index``'s integrand times ``factor``."""
+        fits = []
+
+        def recording(f, edges, **kwargs):
+            g = (lambda z: factor * f(z)) if len(fits) == index else f
+            fit = _quad.build_chebfun(g, edges, **kwargs)
+            fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(brackets, "build_chebfun", recording)
+        return fits
+
+    def test_negexp_btilde_cost_does_not_depend_on_a_constant_factor(self, monkeypatch):
+        # the level-2 fit took 24,456 panels at ×0.5, 4,998 at ×1 and over
+        # a million at ×2
+        model = neg_exponential_model()
+        panels = []
+        for factor in (0.5, 1.0, 2.0):
+            fits = self.record_fits(monkeypatch, 1, factor)
+            coeffgen.family_coefficients(model, CFG, 0.0, 0.0, Family.BTILDE,
+                                         Side.LEFT, 3)
+            assert len(fits) == 3
+            panels.append(len(fits[1].coefs))
+        assert max(panels) <= 1.1 * min(panels)
+
+    def test_parabolic_order_eight(self, monkeypatch):
+        # 28,153 panels, the narrowest 1.1e-13 wide, when subnormal panels
+        # were halved to the depth cap; the coefficients did not move
+        fits = self.record_fits(monkeypatch)
+        res = green_series(catalog("parabolic"), 1.2, 1.0, 8)
+        assert sum(len(fit.coefs) for fit in fits) < 7000
+        assert min(np.min(np.diff(fit.edges)) for fit in fits) > 1e-6
+        assert [repr(res.g.coeff_or_zero(n).real) for n in range(-2, 9)] == [
+            "-0.16656578492759416", "-0.0", "-0.28658240003791485", "-0.0",
+            "0.11507634291836473", "-0.0", "-0.052991197335168626", "-0.0",
+            "0.025663105567082733", "-0.0", "-0.012653460855745573"]

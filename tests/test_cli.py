@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_commands():
+    """Every ``lowkgreen ...`` line of the README, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("lowkgreen ")]
+
+
+class TestReadme:
+    def test_usage_block_is_found(self):
+        names = {argv[0] for argv in readme_commands()}
+        assert names == {"expand", "compare", "brackets", "scaling", "oracle"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_runs(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("LOWK_GREEN_TOL", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestExpand:
@@ -141,6 +164,13 @@ class TestBrackets:
                            "--lower", "-inf", "--upper", "0")
         assert code == 3
         assert "tail" in err or "failure" in err
+
+    def test_tolerance_below_rounding_exit_3(self, capsys):
+        code, _, err = run(capsys, "brackets", "parabolic", "--plain", "-",
+                           "--lower", "-inf", "--upper", "inf",
+                           "--rel-tol", "1e-20")
+        assert code == 3
+        assert "panels" in err
 
 
 class TestNonFinitePositions:
