@@ -13,11 +13,13 @@ takes stock DOP853's steps, with values within the ODE tolerance: V_S is
 evaluated once per step at all of the step's stage abscissae, the stages
 are combined in plain Python floats, and V_S is taken from inside each
 segment, never from across the breakpoint a segment ends on.  Every
-request takes one path: a grid of k runs one system per side, from the
-outermost of the grid's linear starts, with per-k Riccati tails in to
-that shared start, and a single sample is the grid of one k.  Only the
-stepper depends on the number of k: one k combines its stages in plain
-Python floats, several combine theirs with numpy.
+request takes one path: a grid of k runs one sweep per side, inward from
+the outermost cutoff, which each k enters at its own cutoff (as its
+Riccati component where it has a switch point) and in which it becomes a
+linear pair at its switch point; a single sample is the grid of one k.
+Only the stepper depends on the number of k active in a segment: one k
+combines its stages in plain Python floats, several combine theirs with
+numpy.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -40,6 +42,7 @@ from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from .errors import (
     BesselNonconvergence,
     DegenerateFit,
+    InvalidSpec,
     LowkGreenError,
     NonconvergedODE,
     UnsupportedAsymptotics,
@@ -308,14 +311,24 @@ class _StageDOP853(DOP853):
 
 
 class _GridDOP853(_StageDOP853):
-    """_StageDOP853 on the flat state [psi_1..psi_K, psi'_1..psi'_K] of K
-    wavenumbers that share V_S, with ``coeff`` giving V_S - k^2 as a
-    (nodes, K) array.  The stages are combined with numpy, as scipy's
-    ``rk_step`` does.  The error norm is the largest of the K wavenumbers'
-    own DOP853 norms, so no wavenumber is integrated more loosely than it
-    would be alone; the RMS over all 2K components would loosen the worst
-    one by up to sqrt(2K).
+    """_StageDOP853 on the flat state [u_1..u_R, psi_1..psi_L,
+    psi'_1..psi'_L] of R + L wavenumbers that share V_S: the first R carry
+    only their log-derivative u (``riccati`` = R), the other L their
+    (psi, psi') pair.  ``coeff`` gives V_S - k^2 as a (nodes, R + L) array
+    in that order.  The stages are combined with numpy, as scipy's
+    ``rk_step`` does.  The error norm is the largest of the wavenumbers'
+    own DOP853 norms, over their 1 or 2 components, so no wavenumber is
+    integrated more loosely than it would be alone; the RMS over the whole
+    state would loosen the worst one by up to sqrt(R + 2L).
     """
+
+    def __init__(self, fun, t0, y0, t_bound, *, riccati=0, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        pairs = (self.n - riccati) // 2
+        self.split = (riccati, riccati + pairs)
+        # each wavenumber's number of components
+        self.width = np.repeat([1.0, 2.0], [riccati, pairs]) if riccati \
+            else 2.0
 
     def _load(self, y):
         return y
@@ -335,15 +348,22 @@ class _GridDOP853(_StageDOP853):
     def _scale(self, y, y_new):
         return self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
 
+    def _per_k(self, squares):
+        """Sums of ``squares`` over each wavenumber's components."""
+        r, m = self.split
+        pairs = squares[r:m] + squares[m:]
+        return np.concatenate((squares[:r], pairs)) if r else pairs
+
     def _estimate_error_norm(self, K, h, scale):
-        # DOP853._estimate_error_norm of each (psi_k, psi'_k) pair
-        err5 = np.abs(np.dot(K.T, self.E5) / scale).reshape(2, -1)
-        err3 = np.abs(np.dot(K.T, self.E3) / scale).reshape(2, -1)
-        err5 = (err5 * err5).sum(axis=0)
-        err3 = (err3 * err3).sum(axis=0)
+        # DOP853._estimate_error_norm of each wavenumber's u or (psi, psi')
+        err5 = np.abs(np.dot(K.T, self.E5) / scale)
+        err3 = np.abs(np.dot(K.T, self.E3) / scale)
+        err5 = self._per_k(err5 * err5)
+        err3 = self._per_k(err3 * err3)
         denom = err5 + 0.01 * err3
         with np.errstate(invalid="ignore", divide="ignore"):
-            norms = np.where(denom == 0, 0.0, err5 / np.sqrt(denom * 2))
+            norms = np.where(denom == 0, 0.0,
+                             err5 / np.sqrt(denom * self.width))
         # a NaN state stays NaN here, so the controller rejects the step
         return abs(h) * float(norms.max())
 
@@ -360,6 +380,21 @@ def _linear_grid(q, s):
     """_linear for the flat state of len(q) wavenumbers."""
     n = q.size
     return np.concatenate((s[n:], q * s[:n]))
+
+
+def _grid_stage(riccati):
+    """The stage of _GridDOP853's flat state whose first ``riccati``
+    wavenumbers carry u: _riccati for those, _linear for the rest."""
+    if not riccati:
+        return _linear_grid
+
+    def stage(q, s):
+        n = q.size
+        u = s[:riccati]
+        return np.concatenate((q[:riccati] - u * u, s[n:],
+                               q[riccati:] * s[riccati:n]))
+
+    return stage
 
 
 def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
@@ -392,7 +427,8 @@ def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
 
 class _Solution:
     """One-directional solution with per-record log scale factors, the
-    Riccati tail's switch point (None without one) and the ODE work."""
+    Riccati tail's switch point (None without one) and the ODE work of
+    every solve it took part in."""
 
     def __init__(self, switch=None):
         self.records = {}  # z -> (psi, dpsi, logscale)
@@ -404,12 +440,6 @@ class _Solution:
 
     def get(self, z):
         return self.records[float(z)]
-
-
-def _solve_segment(sol, coeff, stage, here, target, state, cfg):
-    res = _solve(coeff, stage, (here, target), state, cfg)
-    sol.nfev += res.nfev
-    return res.y[:, -1]
 
 
 class _Span:
@@ -448,111 +478,104 @@ class _Span:
         return (min(x_l, self.yi), sw_l), (max(x_r, self.xi), sw_r)
 
 
-def _riccati_tail(sol, coeff, ld, start, stops, end, jump_map, cfg, down):
-    """The log-derivative u = psi'/psi at ``end``, from ``ld`` at ``start``
-    through the stops beyond ``end``, by the Riccati equation
-    u' = (V_S - k^2) - u^2; a delta weight shifts u where it is crossed."""
-    here = start
-    for target in [p for p in stops if (p > end if down else p < end)] + [end]:
-        ld = _solve_segment(sol, coeff, _riccati, here, target, [ld], cfg)[0]
-        here = target
-        if here in jump_map:
-            w = jump_map[here]
-            ld = ld - w if down else ld + w
-    return ld
-
-
-def _linear_sweep(sols, coeff, stage, method, start, lds, stops, jump_map,
-                  cfg, down):
-    """Integrate (psi, psi') of every solution in ``sols`` from (1, ld) at
-    ``start`` through ``stops`` as one ODE system, recording each state at
-    every stop: a delta of V_S makes psi' jump by its weight times psi, and
-    a state beyond 1e+-50 is renormalized into its log scale."""
-    n = len(sols)
-    psi = [1.0 + 0.0j] * n
-    dpsi = list(lds)
-    logscale = [0.0] * n
-    for sol, ld in zip(sols, dpsi):
-        sol.add(start, 1.0 + 0.0j, ld, 0.0)
-
-    here = start
-    for target in stops:
-        if target == here:
-            for i, sol in enumerate(sols):
-                sol.add(target, psi[i], dpsi[i], logscale[i])
-            continue
-        res = _solve(coeff, stage, (here, target), psi + dpsi, cfg, method)
-        for sol in sols:
-            sol.nfev += res.nfev
-        end = res.y[:, -1]
-        psi, dpsi = list(end[:n]), list(end[n:])
-        here = target
-        for i, sol in enumerate(sols):
-            p, d = psi[i], dpsi[i]
-            if here in jump_map:
-                # crossing a delta of V_S: psi' jumps by weight * psi
-                w = jump_map[here]
-                if down:  # moving down: remove the upward jump
-                    d = d - w * p
-                else:
-                    d = d + w * p
-            m = max(abs(p), abs(d))
-            if m > 1e50 or (0 < m < 1e-50):
-                p /= m
-                d /= m
-                logscale[i] += math.log(m)
-            psi[i], dpsi[i] = p, d
-            sol.add(here, p, d, logscale[i])
-
-
 def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
-    """(solutions, S): one _Solution per wavenumber, from each (cutoff,
-    switch) of ``sides`` to ``end``, with the linear parts run as one
-    system from S, the outermost of the linear starts (the switch point,
-    or the cutoff where there is none).  One wavenumber is stepped by
-    _StageDOP853, several by _GridDOP853.
+    """One _Solution per wavenumber, from its (cutoff, switch) of ``sides``
+    to ``end``, by one sweep inward from the outermost cutoff.  The
+    sweep's stops are the span's stops from there to ``end`` plus every
+    cutoff and switch point.
 
-    A confining cutoff further out only adds suppression, and a ladder
-    rung further out only improves the phase-integral quality, so every
-    wavenumber may start at S.  One whose cutoff lies beyond S carries
-    only the log-derivative u = psi'/psi from there in to S, through the
-    Riccati equation u' = (V_S - k^2) - u^2, and its linear integration
-    starts at S from (1, u); the others take the phase-integral
-    log-derivative at S.  G does not depend on the normalization of
-    either side's solution, so this is exact; inward, the equation is
-    neutral for an outgoing wave and damping for a decaying one.
+    A wavenumber enters the sweep at its own cutoff with the
+    phase-integral log-derivative ld there: as the pair (psi, psi') =
+    (1, ld) where it has no switch point, or else as the log-derivative
+    u = psi'/psi alone, through the Riccati equation
+    u' = (V_S - k^2) - u^2, and at its switch point as the pair (1, u).
+    G does not depend on the normalization of either side's solution, so
+    this is exact; inward, the Riccati equation is neutral for an outgoing
+    wave and damping for a decaying one.  Between two stops every active
+    wavenumber takes the same steps: one alone is stepped by _StageDOP853
+    in plain floats, as a single sample is, several by _GridDOP853.  A
+    delta of V_S shifts u by its weight, or psi' by its weight times psi,
+    where it is crossed, and a pair beyond 1e+-50 is renormalized into its
+    own log scale.
     """
     down = side == "right"
-    starts = [cut if switch is None else switch for cut, switch in sides]
-    start = max(starts) if down else min(starts)
-    sols, lds = [], []
-    for k2, (cut, _) in zip(k2s, sides):
-        def vs_minus_k2(ts, k2=k2):
+    n = len(k2s)
+    sols = [_Solution(switch) for _, switch in sides]
+    cuts = [cut for cut, _ in sides]
+    stops = set(span.stops(max(cuts) if down else min(cuts), end))
+    stops.update(cuts)
+    stops.update(switch for _, switch in sides if switch is not None)
+    # u while a wavenumber is in ``ric``, (psi, psi', logscale) in ``lin``
+    u, psi, dpsi, logscale = [None] * n, [None] * n, [None] * n, [0.0] * n
+    ric, lin = [], []
+    here = None
+    for target in sorted(stops, reverse=down):
+        if ric or lin:
+            active = ric + lin
+            res = _solve_active(
+                model, [k2s[i] for i in active], len(ric),
+                [u[i] for i in ric] + [psi[i] for i in lin]
+                + [dpsi[i] for i in lin], (here, target), cfg)
+            y = list(res.y[:, -1])
+            r, na = len(ric), len(active)
+            for i, v in zip(ric, y[:r]):
+                u[i] = v
+            for i, p, d in zip(lin, y[r:na], y[na:]):
+                psi[i], dpsi[i] = p, d
+            for i in active:
+                sols[i].nfev += res.nfev
+            if target in span.jump_map:
+                w = span.jump_map[target]
+                for i in ric:
+                    u[i] = u[i] - w if down else u[i] + w
+                for i in lin:
+                    # crossing a delta of V_S: psi' jumps by weight * psi
+                    p, d = psi[i], dpsi[i]
+                    dpsi[i] = d - w * p if down else d + w * p
+            for i in lin:
+                p, d = psi[i], dpsi[i]
+                m = max(abs(p), abs(d))
+                if m > 1e50 or (0 < m < 1e-50):
+                    psi[i], dpsi[i] = p / m, d / m
+                    logscale[i] += math.log(m)
+        here = target
+        for i in [i for i in ric if sides[i][1] == here]:
+            ric.remove(i)
+            lin.append(i)
+            psi[i], dpsi[i] = 1.0 + 0.0j, u[i]
+        for i, (cut, switch) in enumerate(sides):
+            if cut == here:
+                ld, _ = _phase_logderiv(model, cut, k2s[i], side)
+                if switch is None:
+                    lin.append(i)
+                    psi[i], dpsi[i] = 1.0 + 0.0j, ld
+                else:
+                    ric.append(i)
+                    u[i] = ld
+        for i in lin:
+            sols[i].add(here, psi[i], dpsi[i], logscale[i])
+    return sols
+
+
+def _solve_active(model, k2s, riccati, state, span, cfg):
+    """``_solve`` over ``span`` of the wavenumbers ``k2s`` (squared) in
+    ``state`` order, the first ``riccati`` of them carrying u: one alone
+    in the plain-float stepper, several as one _GridDOP853 system."""
+    if len(k2s) == 1:
+        (k2,) = k2s
+
+        def vs_minus_k2(ts):
             return model.VS(ts) - k2
 
-        if cut > start if down else cut < start:
-            sol = _Solution(start)
-            ld, _ = _phase_logderiv(model, cut, k2, side)
-            ld = _riccati_tail(sol, vs_minus_k2, ld, cut, span.stops(cut, end),
-                               start, span.jump_map, cfg, down)
-        else:
-            sol = _Solution()
-            ld, _ = _phase_logderiv(model, start, k2, side)
-        sols.append(sol)
-        lds.append(ld)
-    if len(sols) == 1:
-        # the one wavenumber's V_S - k^2, in the plain-float stepper
-        coeff, stage, method = vs_minus_k2, _linear, _StageDOP853
-    else:
-        k2s = np.array(k2s)
+        return _solve(vs_minus_k2, _riccati if riccati else _linear, span,
+                      state, cfg)
+    k2a = np.array(k2s)
 
-        def coeff(ts):
-            return model.VS(ts)[:, None] - k2s
+    def coeff(ts):
+        return model.VS(ts)[:, None] - k2a
 
-        stage, method = _linear_grid, _GridDOP853
-    _linear_sweep(sols, coeff, stage, method, start, lds,
-                  span.stops(start, end), span.jump_map, cfg, down)
-    return sols, start
+    return _solve(coeff, _grid_stage(riccati), span, state, cfg, _GridDOP853,
+                  riccati=riccati)
 
 
 def _wronskian(left_rec, right_rec):
@@ -566,6 +589,8 @@ def _physical_k(k, cfg):
     if k == 0:
         raise WronskianDegenerate("k = 0 is the expansion point, not a sample")
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise InvalidSpec(f"wavenumbers must be finite (k={k})")
     eps_used = 0.0
     if k.imag < 0:
         raise UnsupportedAsymptotics("Im k < 0 is outside the physical sheet")
@@ -666,10 +691,10 @@ def _solve_grid(model, x, y, ks, cfg):
     k_used, eps_used, left_ends, right_ends = zip(*setups)
     k2s = [k * k for k in k_used]
     try:
-        rights, s_r = _integrate_grid_side(model, k2s, right_ends, span,
-                                           span.yi, cfg, "right")
-        lefts, s_l = _integrate_grid_side(model, k2s, left_ends, span,
-                                          span.xi, cfg, "left")
+        rights = _integrate_grid_side(model, k2s, right_ends, span,
+                                      span.yi, cfg, "right")
+        lefts = _integrate_grid_side(model, k2s, left_ends, span,
+                                     span.xi, cfg, "left")
     except NonconvergedODE as exc:
         if len(ks) == 1:
             return [], exc
@@ -681,7 +706,7 @@ def _solve_grid(model, x, y, ks, cfg):
             k_used, eps_used, left_ends, right_ends, lefts, rights):
         try:
             reports.append(_green_from(span, x, y, k, eps, left, right,
-                                       min(x_l, s_l), max(x_r, s_r)))
+                                       x_l, x_r))
         except WronskianDegenerate as exc:
             return reports, exc
     return reports, error
@@ -730,13 +755,14 @@ def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
     green_exact's ``verify_epsilon`` check, raising what the per-k loop of
     green_exact would raise first.
 
-    The wavenumbers are integrated as one ODE system per side, with
-    shared steps and stops, from the outermost of their linear starts; a
-    k whose cutoff lies further out first integrates its own Riccati tail
-    in to there.  One k takes the same path with the plain-float stepper.
-    In each k's diagnostics the cutoff is where its boundary data are
-    imposed, the tail switch is the shared start where it has a tail, and
-    ``rhs_evals`` counts its tail's evaluations plus the shared system's.
+    The wavenumbers are integrated by one sweep per side, inward from the
+    outermost cutoff: each k enters at its own cutoff, carrying only its
+    log-derivative down to its switch point where it has one, and every
+    k active between two stops takes the same steps.  One k takes the
+    same path with the plain-float stepper, so its sample is the single
+    sample.  Each k's diagnostics report the cutoffs and tail switches
+    of its single sample, and ``rhs_evals`` counts the evaluations of
+    every solve that k took part in.
     """
     reports, error = _verified_grid(model, x, y, ks, cfg)
     if error is not None:

@@ -193,6 +193,20 @@ class TestNonFinitePositions:
         assert "positions must be finite" in err
 
 
+class TestNonFiniteWavenumbers:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "free", "--k-start", "nan", "--k-count", "2"],
+        ["compare", "free", "--k-start", "nan", "--k-count", "1"],
+        ["oracle", "parabolic", "--k-start", "0.1", "--k-stop", "inf",
+         "--k-count", "3"],
+    ], ids=["oracle-nan-grid", "compare-nan-single", "oracle-inf-stop"])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "wavenumbers must be finite" in err
+
+
 class TestScaling:
     def test_logstep(self, capsys):
         code, out, _ = run(capsys, "scaling", "logstep", "--alpha", "1.5",

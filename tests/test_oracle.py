@@ -21,8 +21,6 @@ from lowkgreen.oracle import (
     _phase_logderiv,
     _riccati,
     _GridDOP853,
-    _Solution,
-    _solve_segment,
     _StageDOP853,
     bessel_j,
     green_closed_ex5,
@@ -489,8 +487,7 @@ class TestStageBatched:
 
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NonconvergedODE, match="step size"):
-            _solve_segment(_Solution(), coeff, _linear, 0.0, 1.0,
-                           [1.0 + 0.0j, 0.0j], CFG)
+            oracle._solve(coeff, _linear, (0.0, 1.0), [1.0 + 0.0j, 0.0j], CFG)
 
     def test_every_oracle_solve_is_stage_batched(self, monkeypatch):
         methods = []
@@ -558,25 +555,22 @@ class TestGrid:
         assert green_exact_grid(model, x, y, [k], CFG) == \
             [green_exact_report(model, x, y, k, CFG)]
 
-    def test_tails_run_in_to_the_shared_start(self):
+    def test_every_k_reports_its_own_cutoffs(self):
         sw = catalog("sqrtwell")
         ks = [0.05, 0.2, 0.8]
         grid = green_exact_grid(sw, 1.0, -0.5, ks, CFG)
         singles = [green_exact_report(sw, 1.0, -0.5, k, CFG)[1] for k in ks]
-        # the smallest k has the outermost switch points: it and every k
-        # whose cutoff lies beyond them run a Riccati tail to there
-        start = singles[0]["tail_switch_right"]
-        assert start > singles[1]["tail_switch_right"]
+        # each k enters the sweep at its own cutoff and switches at its own
+        # switch point, as it does alone
+        assert singles[0]["tail_switch_right"] > singles[1]["tail_switch_right"]
+        keys = ("cutoff_left", "cutoff_right", "tail_switch_left",
+                "tail_switch_right")
         for (_, d), single in zip(grid, singles):
-            assert d["tail_switch_right"] == start
-            assert d["cutoff_right"] == single["cutoff_right"]
+            assert [d[key] for key in keys] == [single[key] for key in keys]
 
-    def test_parabolic_work_bound(self, monkeypatch):
-        # one k at a time, the 40-k grid took about 40x its dearest k
-        par = catalog("parabolic")
-        ks = np.linspace(0.05, 1.2, 40)
-        dearest = max(green_exact_report(par, 1.2, 1.0, k, CFG)[1]["rhs_evals"]
-                      for k in ks)
+    @staticmethod
+    def grid_work(monkeypatch, model, x, y, ks):
+        """The RHS evaluations of every ODE solve of one grid."""
         nfev = []
 
         def recording(*args, **kwargs):
@@ -584,9 +578,37 @@ class TestGrid:
             nfev.append(res.nfev)
             return res
 
-        monkeypatch.setattr(oracle, "solve_ivp", recording)
-        green_exact_grid(par, 1.2, 1.0, ks, CFG)
-        assert 0 < sum(nfev) <= 2 * dearest
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "solve_ivp", recording)
+            green_exact_grid(model, x, y, ks, CFG)
+        return sum(nfev)
+
+    def test_parabolic_work_bound(self, monkeypatch):
+        # one k at a time, the 40-k grid took about 40x its dearest k
+        par = catalog("parabolic")
+        ks = np.linspace(0.05, 1.2, 40)
+        dearest = max(green_exact_report(par, 1.2, 1.0, k, CFG)[1]["rhs_evals"]
+                      for k in ks)
+        work = self.grid_work(monkeypatch, par, 1.2, 1.0, ks)
+        assert 0 < work <= 2 * dearest
+        # one system from the outermost cutoff in took 3,380: entering each
+        # k at its own cutoff adds a stop, not work
+        assert work <= 1.01 * 3380
+
+    def test_power_tail_grid_beats_the_per_k_loop(self, monkeypatch):
+        # run linearly from the smallest k's switch point (z = 4990), the
+        # grid took 30,542, about as much as one k at a time
+        model = catalog("logstep", alpha=1.5)
+        ks = np.geomspace(0.001, 0.1, 9)
+        loop = sum(green_exact_report(model, 1.5, 0.8, k, CFG)[1]["rhs_evals"]
+                   for k in ks)
+        assert 0 < self.grid_work(monkeypatch, model, 1.5, 0.8, ks) <= loop / 2
+
+    def test_sqrtwell_grid_work_bound(self, monkeypatch):
+        # per-k Riccati tails in to the shared start took 151,304
+        work = self.grid_work(monkeypatch, catalog("sqrtwell"), 1.0, -0.5,
+                              np.linspace(0.05, 1.0, 20))
+        assert 0 < work <= 151_304 / 3
 
     def test_every_grid_solve_goes_through_solve_ivp(self, monkeypatch):
         methods = []
@@ -596,29 +618,44 @@ class TestGrid:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "solve_ivp", recording)
-        # Riccati tails one k at a time, then the batch
+        # the outermost k alone, then the others as they enter
         green_exact_grid(catalog("sqrtwell"), 1.0, -0.5, [0.05, 0.2, 0.8], CFG)
         assert methods.count(_GridDOP853) > 2
         assert set(methods) == {_StageDOP853, _GridDOP853}
 
     def test_error_norm_is_the_worst_k(self):
-        # DOP853's norm of each (psi_k, psi'_k) pair alone, then the largest
+        # DOP853's norm of each k's own components alone, its u or its
+        # (psi, psi') pair, then the largest
         rng = np.random.default_rng(3)
-        n = 4
-        y0 = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-        solver = _GridDOP853(lambda t, y: y, 0.0, y0, 1.0,
-                             coeff=lambda ts: np.ones((ts.size, n)),
-                             stage=oracle._linear_grid)
-        K = rng.normal(size=(13, 2 * n)) + 1j * rng.normal(size=(13, 2 * n))
-        scale = rng.uniform(0.5, 2.0, 2 * n)
         h = 0.3
-        alone = []
-        for i in range(n):
-            cols = [i, n + i]
-            one = DOP853(lambda t, y: y, 0.0, y0[cols], 1.0)
-            alone.append(one._estimate_error_norm(K[:, cols], h, scale[cols]))
-        got = solver._estimate_error_norm(K, h, scale)
-        assert abs(got - max(alone)) <= 1e-14 * max(alone)
+        for riccati, pairs in ((0, 4), (2, 3), (3, 0)):
+            size = riccati + 2 * pairs
+            y0 = rng.normal(size=size) + 1j * rng.normal(size=size)
+            solver = _GridDOP853(
+                lambda t, y: y, 0.0, y0, 1.0,
+                coeff=lambda ts: np.ones((ts.size, riccati + pairs)),
+                stage=oracle._grid_stage(riccati), riccati=riccati)
+            K = rng.normal(size=(13, size)) + 1j * rng.normal(size=(13, size))
+            scale = rng.uniform(0.5, 2.0, size)
+            columns = [[i] for i in range(riccati)] + \
+                [[riccati + i, riccati + pairs + i] for i in range(pairs)]
+
+            def alone(K):
+                return [DOP853(lambda t, y: y, 0.0, y0[c], 1.0)
+                        ._estimate_error_norm(K[:, c], h, scale[c])
+                        for c in columns]
+
+            want = max(alone(K))
+            assert abs(solver._estimate_error_norm(K, h, scale) - want) \
+                <= 1e-14 * want
+            # each k in turn made the worst: its norm scales with its stages
+            for j, c in enumerate(columns):
+                worse = K.copy()
+                worse[:, c] *= 1e3
+                want = alone(worse)[j]
+                assert want == max(alone(worse))
+                assert abs(solver._estimate_error_norm(worse, h, scale) - want) \
+                    <= 1e-14 * want
 
 
 class TestGridErrors:
@@ -638,6 +675,9 @@ class TestGridErrors:
         ([0.3, 0.2 - 0.1j, 0.0], UnsupportedAsymptotics),
         ([0.3, 0.0, 0.2 - 0.1j], WronskianDegenerate),
         ([0.0, 0.3], WronskianDegenerate),
+        ([0.3, math.nan, 0.0], InvalidSpec),
+        ([math.inf], InvalidSpec),
+        ([complex(0.3, math.nan), 0.3 - 0.1j], InvalidSpec),
     ])
     def test_wavenumbers_off_the_sheet(self, ks, want):
         self.both_raise(want, catalog("free"), 1.2, 0.3, ks)
