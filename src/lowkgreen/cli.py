@@ -33,6 +33,9 @@ def fmt(v) -> str:
 def _k_grid(args):
     if args.k_count < 1:
         raise UsageError("k grid needs at least one point")
+    for flag, value in (("--k-start", args.k_start), ("--k-stop", args.k_stop)):
+        if not math.isfinite(value):
+            raise UsageError(f"wavenumbers must be finite ({flag} {value})")
     if args.k_start <= 0 or args.k_stop <= 0:
         raise UsageError("k grid must be positive")
     if args.k_count == 1:

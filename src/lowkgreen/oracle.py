@@ -8,18 +8,21 @@ comes from a second-order phase-integral approximation of the decaying or
 outgoing ray, which keeps cutoffs modest even for slowly decaying tails.
 On such tails only the log-derivative of the solution is integrated (one
 Riccati component) from the cutoff in to where the solution has structure.
-Every solve runs DOP853's tableau under scipy's step-size controller and
-takes stock DOP853's steps, with values within the ODE tolerance: V_S is
-evaluated once per step at all of the step's stage abscissae, the stages
-are combined in plain Python floats, and V_S is taken from inside each
-segment, never from across the breakpoint a segment ends on.  Every
-request takes one path: a grid of k runs one sweep per side, inward from
-the outermost cutoff, which each k enters at its own cutoff (as its
-Riccati component where it has a switch point) and in which it becomes a
-linear pair at its switch point; a single sample is the grid of one k.
-Only the stepper depends on the number of k active in a segment: one k
-combines its stages in plain Python floats, several combine theirs with
-numpy.
+Every solve runs the module's own DOP853 driver, ``solve_ivp``: the
+Dormand-Prince 8(5,3) tableau with its 7th-order dense output, started by
+the Hairer-Norsett-Wanner initial-step formula and stepped under their
+step-size controller.  These are the tables, formulas and constants of
+scipy's ``solve_ivp(method="DOP853")``, the reference the tests check the
+driver against; the package itself does not import scipy.  V_S is
+evaluated once per step at all of the step's stage abscissae, and it is
+taken from inside each segment, never from across the breakpoint a
+segment ends on.  Every request takes one path: a grid of k runs one
+sweep per side, inward from the outermost cutoff, which each k enters at
+its own cutoff (as its Riccati component where it has a switch point) and
+in which it becomes a linear pair at its switch point; a single sample is
+the grid of one k.  Only the stepper depends on the number of k active in
+a segment: one k combines its stages in plain Python floats, several
+combine theirs with numpy.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -32,12 +35,11 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import (
     BesselNonconvergence,
@@ -63,12 +65,29 @@ class GreenSample:
 class SolverConfig:
     cutoff_left: Optional[float] = None
     cutoff_right: Optional[float] = None
+    # a positive ode_rel_tol below RTOL_FLOOR (100 machine epsilons) is
+    # taken as RTOL_FLOOR
     ode_rel_tol: float = 1e-10
     ode_abs_tol: float = 1e-13
     epsilon_imag: float = 1e-8
     boundary_tol: float = 1e-9
     verify_epsilon: bool = False
     check_points: int = 5
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it must not pass as in range: a
+        # NaN tolerance makes the step size NaN, and a negative epsilon
+        # moves a real k off the physical sheet
+        for name in ("ode_rel_tol", "boundary_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidSpec(
+                    f"{name} must be finite and positive (got {value})")
+        for name in ("ode_abs_tol", "epsilon_imag"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise InvalidSpec(
+                    f"{name} must be finite and non-negative (got {value})")
 
 
 # -- boundary data -------------------------------------------------------------
@@ -169,7 +188,222 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
     raise NonconvergedODE(f"no usable {side} cutoff found")
 
 
-# -- stage-batched integration ----------------------------------------------------
+# -- DOP853 ---------------------------------------------------------------------
+#
+# Dormand & Prince's 8(5,3) pair and its 7th-order dense output, as in
+# Hairer's dop853.f (Hairer, Norsett & Wanner, "Solving Ordinary
+# Differential Equations I", Sec. II.10), with the coefficients written as
+# scipy's DOP853 carries them, so that the tables agree bit for bit.
+
+
+def _table(shape, rows):
+    """A zero array of ``shape`` with the entries {row: {column: value}}."""
+    out = np.zeros(shape)
+    for i, row in rows.items():
+        for j, value in row.items():
+            out[i, j] = value
+    return out
+
+
+#: stages of a step; the dense output evaluates three more
+N_STAGES = 12
+
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
+    0.1,
+    0.2,
+    0.777777777777777777777777777778])
+
+_A = _table((16, 16), {
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2,
+        1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2,
+        2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1,
+        2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2,
+        3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2,
+        3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2,
+        5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2,
+        3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1,
+        5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1,
+        3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1,
+        5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1,
+        7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1,
+        3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1,
+        5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1,
+        7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1,
+         3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654,
+         5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1,
+         7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762,
+         9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449,
+         3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444,
+         5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1,
+         7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258,
+         9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    # the solution weights B
+    12: {0: 5.42937341165687622380535766363e-2,
+         5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044,
+         7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1,
+         9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1,
+         11: 4.47106157277725905176885569043e-2},
+    # the three extra stages of the dense output
+    13: {0: 5.61675022830479523392909219681e-2,
+         6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1,
+         8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1,
+         10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3,
+         12: -8.298e-3},
+    14: {0: 3.18346481635021405060768473261e-2,
+         5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2,
+         7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4,
+         11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4,
+         13: 1.41312443674632500278074618366e-1},
+    15: {0: -4.28896301583791923408573538692e-1,
+         5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878,
+         7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1,
+         12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149,
+         14: -9.15095847217987001081870187138},
+})
+
+#: stage abscissae, stage coefficients and solution weights of a step
+C = _C[:N_STAGES]
+A = _A[:N_STAGES, :N_STAGES]
+B = _A[N_STAGES, :N_STAGES]
+#: the two error estimators, over the 12 stages and f at the step's end
+E3 = np.append(B, 0.0)
+E3[[0, 8, 11]] -= (0.244094488188976377952755905512,
+                   0.733846688281611857341361741547,
+                   0.220588235294117647058823529412e-1)
+E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+               -0.1225156446376204440720569753e+1,
+               -0.4957589496572501915214079952,
+               0.1664377182454986536961530415e+1,
+               -0.3503288487499736816886487290,
+               0.3341791187130174790297318841,
+               0.8192320648511571246570742613e-1,
+               -0.2235530786388629525884427845e-1,
+               0.0])
+#: the dense output's extra stages (after f at the step's end), and the
+#: weights of its last four interpolation coefficients over all 16 stages
+A_EXTRA = _A[N_STAGES + 1:]
+C_EXTRA = _C[N_STAGES + 1:]
+D = _table((4, 16), {
+    0: {0: -0.84289382761090128651353491142e+1,
+        5: 0.56671495351937776962531783590,
+        6: -0.30689499459498916912797304727e+1,
+        7: 0.23846676565120698287728149680e+1,
+        8: 0.21170345824450282767155149946e+1,
+        9: -0.87139158377797299206789907490,
+        10: 0.22404374302607882758541771650e+1,
+        11: 0.63157877876946881815570249290,
+        12: -0.88990336451333310820698117400e-1,
+        13: 0.18148505520854727256656404962e+2,
+        14: -0.91946323924783554000451984436e+1,
+        15: -0.44360363875948939664310572000e+1},
+    1: {0: 0.10427508642579134603413151009e+2,
+        5: 0.24228349177525818288430175319e+3,
+        6: 0.16520045171727028198505394887e+3,
+        7: -0.37454675472269020279518312152e+3,
+        8: -0.22113666853125306036270938578e+2,
+        9: 0.77334326684722638389603898808e+1,
+        10: -0.30674084731089398182061213626e+2,
+        11: -0.93321305264302278729567221706e+1,
+        12: 0.15697238121770843886131091075e+2,
+        13: -0.31139403219565177677282850411e+2,
+        14: -0.93529243588444783865713862664e+1,
+        15: 0.35816841486394083752465898540e+2},
+    2: {0: 0.19985053242002433820987653617e+2,
+        5: -0.38703730874935176555105901742e+3,
+        6: -0.18917813819516756882830838328e+3,
+        7: 0.52780815920542364900561016686e+3,
+        8: -0.11573902539959630126141871134e+2,
+        9: 0.68812326946963000169666922661e+1,
+        10: -0.10006050966910838403183860980e+1,
+        11: 0.77771377980534432092869265740,
+        12: -0.27782057523535084065932004339e+1,
+        13: -0.60196695231264120758267380846e+2,
+        14: 0.84320405506677161018159903784e+2,
+        15: 0.11992291136182789328035130030e+2},
+    3: {0: -0.25693933462703749003312586129e+2,
+        5: -0.15418974869023643374053993627e+3,
+        6: -0.23152937917604549567536039109e+3,
+        7: 0.35763911791061412378285349910e+3,
+        8: 0.93405324183624310003907691704e+2,
+        9: -0.37458323136451633156875139351e+2,
+        10: 0.10409964950896230045147246184e+3,
+        11: 0.29840293426660503123344363579e+2,
+        12: -0.43533456590011143754432175058e+2,
+        13: 0.96324553959188282948394950600e+2,
+        14: -0.39177261675615439165231486172e+2,
+        15: -0.14972683625798562581422125276e+3},
+})
+
+#: step-size controller: the safety factor and the bounds on one change
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+#: the step scales as the error norm to this power (error estimator of
+#: order 7)
+ERROR_EXPONENT = -1 / 8
+#: the smallest relative tolerance, 100 machine epsilons: a smaller one is
+#: taken as this
+RTOL_FLOOR = 100 * sys.float_info.epsilon
+
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NAN_STEP = "The step size is NaN."
+REACHED_END = "The solver successfully reached the end of the integration interval."
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
 
 
 def _nonzero(row):
@@ -178,34 +412,95 @@ def _nonzero(row):
     return tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
 
 
-class _StageDOP853(DOP853):
-    """scipy's DOP853 for y' = stage(coeff(t), y), where the coefficient
-    depends on t alone: each attempted step evaluates ``coeff`` once, at
-    all twelve of its stage abscissae, then combines the stages in plain
-    Python floats under scipy's step-size controller.  The tableau, the
-    controller, the steps and ``nfev`` are those of ``method="DOP853"`` on
-    the scalar ``fun``, which the base class still calls for f0, the first
-    step and dense output.  The values agree within the ODE tolerance, not
-    bit for bit: numpy may fuse multiply-adds that Python rounds twice.
-    ``_solve`` hands it a ``coeff`` that takes V_S from inside the segment.
+class _StageDOP853:
+    """DOP853 for y' = stage(coeff(t), y), where the coefficient depends on
+    t alone: each attempted step evaluates ``coeff`` once, at all twelve
+    of its stage abscissae, then combines the stages in plain Python
+    floats.  The scalar ``fun`` (the same right-hand side) gives f0, the
+    initial-step probe and the dense output's extra stages, one point at
+    a time.  It takes as many steps as stock DOP853 on ``fun``, for the
+    same ``nfev``, and ends within the ODE tolerance of it, but not bit
+    for bit: numpy may fuse multiply-adds that Python rounds twice, and
+    the error estimate's cancellation carries that into the step sizes.
+    ``_solve`` hands it a ``coeff`` that takes V_S from inside the
+    segment.
     """
 
     #: stage abscissae of a step, in units of h from its start
-    NODES = np.append(DOP853.C[1:], 1.0)
+    NODES = np.append(C[1:], 1.0)
     #: nonzero weights of stages 1..11 (A), of the solution (B) and of the
     #: two error estimators (E5, E3)
-    A_ROWS = tuple(_nonzero(row) for row in DOP853.A[1:])
-    B_TERMS = _nonzero(DOP853.B)
-    E5_TERMS = _nonzero(DOP853.E5)
-    E3_TERMS = _nonzero(DOP853.E3)
+    A_ROWS = tuple(_nonzero(row) for row in A[1:])
+    B_TERMS = _nonzero(B)
+    E5_TERMS = _nonzero(E5)
+    E3_TERMS = _nonzero(E3)
 
-    def __init__(self, fun, t0, y0, t_bound, *, coeff, stage, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.coeff = coeff
-        self.stage = stage
+    def __init__(self, fun, t0, y0, t_bound, *, coeff, stage, rtol, atol):
+        self.fun, self.coeff, self.stage = fun, coeff, stage
+        y0 = np.asarray(y0)
+        self.dtype = complex if np.iscomplexobj(y0) else float
+        self.t, self.y, self.t_bound = t0, y0.astype(self.dtype), t_bound
+        self.direction = -1.0 if t_bound < t0 else 1.0
+        self.n = self.y.size
+        self.rtol, self.atol = max(rtol, RTOL_FLOOR), atol
         # per-component tolerances as Python floats
-        self.atol_list = np.broadcast_to(self.atol, (self.n,)).tolist()
-        self.rtol_list = np.broadcast_to(self.rtol, (self.n,)).tolist()
+        self.atol_list = [float(atol)] * self.n
+        self.rtol_list = [float(self.rtol)] * self.n
+        self.nfev = 0
+        self.f = self._eval(t0, self.y)
+        self.h_abs = self._initial_step()
+        # the 13 stages of a step (f at its end last), then the dense
+        # output's three
+        self.K_extended = np.empty((16, self.n), dtype=self.dtype)
+        self.K = self.K_extended[:N_STAGES + 1]
+        self.status = "running"
+        self.t_old = self.y_old = self.h_previous = None
+
+    def _eval(self, t, y):
+        """``fun`` at one point, counted in ``nfev``."""
+        self.nfev += 1
+        return np.asarray(self.fun(t, y), dtype=self.dtype)
+
+    def _initial_step(self):
+        """|h| of the first step: Hairer, Norsett & Wanner's estimate from
+        f0 and one explicit Euler probe, at most the whole interval."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * self.direction * f0
+        f1 = self._eval(t0 + h0 * self.direction, y1)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
+        return min(100 * h0, h1, interval_length)
+
+    def step(self):
+        """One accepted step; ``status`` becomes "finished" at ``t_bound``,
+        or "failed" with the reason returned."""
+        if self.t == self.t_bound:
+            self.t_old = self.t
+            self.status = "finished"
+            return None
+        t = self.t
+        success, message = self._step_impl()
+        if not success:
+            self.status = "failed"
+            return message
+        self.t_old = t
+        if self.direction * (self.t - self.t_bound) >= 0:
+            self.status = "finished"
+        return None
 
     def _load(self, y):
         """The state array in the form ``_rk_step`` takes."""
@@ -234,7 +529,7 @@ class _StageDOP853(DOP853):
             y_new.append(y[i] + h * acc)
         K.append(stage(q[-1], y_new))
         self.K[:] = K
-        self.nfev += self.n_stages
+        self.nfev += N_STAGES
         return y_new, K
 
     def _scale(self, y, y_new):
@@ -242,7 +537,7 @@ class _StageDOP853(DOP853):
                 in zip(self.atol_list, self.rtol_list, y, y_new)]
 
     def _estimate_error_norm(self, K, h, scale):
-        # DOP853._estimate_error_norm on the stage lists
+        # DOP853's RMS norm of the 5th-order estimate, corrected by the 3rd
         err5 = err3 = 0.0
         for i, sc in enumerate(scale):
             e5 = e3 = 0.0
@@ -259,23 +554,21 @@ class _StageDOP853(DOP853):
         return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
 
     def _step_impl(self):
-        # RungeKutta._step_impl, with self._rk_step for rk_step
+        """(success, message): attempts from ``h_abs`` until one is
+        accepted, each rejection shrinking the step."""
         t = self.t
         y = self._load(self.y)
-        direction = float(self.direction)
+        direction = self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = float(self.h_abs)
+        h_abs = max(float(self.h_abs), min_step)
+        if math.isnan(h_abs):
+            return False, NAN_STEP
 
         step_accepted = False
         step_rejected = False
         while not step_accepted:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                return False, TOO_SMALL_STEP
             h = h_abs * direction
             t_new = t + h
             if direction * (t_new - self.t_bound) > 0:
@@ -291,23 +584,44 @@ class _StageDOP853(DOP853):
                     factor = MAX_FACTOR
                 else:
                     factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** self.error_exponent)
+                                 SAFETY * error_norm ** ERROR_EXPONENT)
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 step_accepted = True
             else:
                 h_abs *= max(MIN_FACTOR,
-                             SAFETY * error_norm ** self.error_exponent)
+                             SAFETY * error_norm ** ERROR_EXPONENT)
                 step_rejected = True
 
         self.h_previous = h
         self.y_old = self.y
         self.t = t_new
-        self.y = np.array(y_new, dtype=self.y.dtype)
+        self.y = np.array(y_new, dtype=self.dtype)
         self.h_abs = h_abs
-        self.f = np.array(K[-1], dtype=self.y.dtype)
+        self.f = np.array(K[-1], dtype=self.dtype)
         return True, None
+
+    def dense_output(self):
+        """The interpolant of the last step: the three extra stages, then
+        the seven coefficients of DOP853's dense output."""
+        if self.t == self.t_old:
+            # no step was taken: the state itself
+            return _DenseStep(self.t_old, self.t, self.y,
+                              np.zeros((7, self.n), dtype=self.dtype))
+        K = self.K_extended
+        h = self.h_previous
+        for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self._eval(self.t_old + c * h, self.y_old + dy)
+        F = np.empty((7, self.n), dtype=self.dtype)
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(D, K)
+        return _DenseStep(self.t_old, self.t, self.y_old, F)
 
 
 class _GridDOP853(_StageDOP853):
@@ -315,9 +629,9 @@ class _GridDOP853(_StageDOP853):
     psi'_1..psi'_L] of R + L wavenumbers that share V_S: the first R carry
     only their log-derivative u (``riccati`` = R), the other L their
     (psi, psi') pair.  ``coeff`` gives V_S - k^2 as a (nodes, R + L) array
-    in that order.  The stages are combined with numpy, as scipy's
-    ``rk_step`` does.  The error norm is the largest of the wavenumbers'
-    own DOP853 norms, over their 1 or 2 components, so no wavenumber is
+    in that order.  The stages are combined with numpy, as stock DOP853
+    combines them.  The error norm is the largest of the wavenumbers' own
+    DOP853 norms, over their 1 or 2 components, so no wavenumber is
     integrated more loosely than it would be alone; the RMS over the whole
     state would loosen the worst one by up to sqrt(R + 2L).
     """
@@ -338,11 +652,11 @@ class _GridDOP853(_StageDOP853):
         stage = self.stage
         K = self.K
         K[0] = self.f
-        for s, (a, qs) in enumerate(zip(self.A[1:], q), start=1):
+        for s, (a, qs) in enumerate(zip(A[1:], q), start=1):
             K[s] = stage(qs, y + np.dot(K[:s].T, a[:s]) * h)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
+        y_new = y + h * np.dot(K[:-1].T, B)
         K[-1] = stage(q[-1], y_new)
-        self.nfev += self.n_stages
+        self.nfev += N_STAGES
         return y_new, K
 
     def _scale(self, y, y_new):
@@ -355,9 +669,9 @@ class _GridDOP853(_StageDOP853):
         return np.concatenate((squares[:r], pairs)) if r else pairs
 
     def _estimate_error_norm(self, K, h, scale):
-        # DOP853._estimate_error_norm of each wavenumber's u or (psi, psi')
-        err5 = np.abs(np.dot(K.T, self.E5) / scale)
-        err3 = np.abs(np.dot(K.T, self.E3) / scale)
+        # DOP853's norm of each wavenumber's u or (psi, psi')
+        err5 = np.abs(np.dot(K.T, E5) / scale)
+        err3 = np.abs(np.dot(K.T, E3) / scale)
         err5 = self._per_k(err5 * err5)
         err3 = self._per_k(err3 * err3)
         denom = err5 + 0.01 * err3
@@ -366,6 +680,87 @@ class _GridDOP853(_StageDOP853):
                              err5 / np.sqrt(denom * self.width))
         # a NaN state stays NaN here, so the controller rejects the step
         return abs(h) * float(norms.max())
+
+
+class _DenseStep:
+    """DOP853's interpolant over one step from t_old to t."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old = t_old
+        self.h = (t - t_old) or 1.0  # a step of no length: y_old throughout
+        self.y_old = y_old
+        self.F = F
+
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
+        y = np.zeros_like(self.y_old)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y
+
+
+class _DenseSolution:
+    """The steps' interpolants over a whole solve, callable at one t.  A t
+    on a step boundary takes the step that comes first in increasing t; a
+    t outside the span takes the nearest end step."""
+
+    def __init__(self, ts, steps):
+        self.steps = steps
+        self.ascending = ts[-1] >= ts[0]
+        self.ts_sorted = ts if self.ascending else ts[::-1]
+        self.side = "left" if self.ascending else "right"
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        ind = np.searchsorted(self.ts_sorted, t, side=self.side)
+        last = len(self.steps) - 1
+        segment = min(max(ind - 1, 0), last)
+        if not self.ascending:
+            segment = last - segment
+        return self.steps[segment](t)
+
+
+@dataclass
+class _Solve:
+    """What ``solve_ivp`` returns: the accepted times and states (one
+    column per time), the right-hand-side evaluations, whether and why
+    the solve ended, and the dense solution (None unless asked for)."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+    sol: Optional[_DenseSolution]
+
+
+def solve_ivp(fun, t_span, y0, method=_StageDOP853, dense_output=False,
+              **options):
+    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] by ``method``
+    (_StageDOP853 or _GridDOP853, which take their ``coeff``, ``stage``,
+    ``rtol`` and ``atol`` from ``options``), stepping until the end is
+    reached or a step fails."""
+    t0, tf = map(float, t_span)
+    solver = method(fun, t0, y0, tf, **options)
+    ts, ys, steps = [t0], [solver.y], []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        ts.append(solver.t)
+        ys.append(solver.y)
+        if dense_output:
+            steps.append(solver.dense_output())
+    success = solver.status == "finished"
+    ts = np.array(ts)
+    return _Solve(t=ts, y=np.vstack(ys).T, nfev=solver.nfev, success=success,
+                  message=REACHED_END if success else message,
+                  sol=_DenseSolution(ts, steps) if dense_output else None)
 
 
 def _riccati(q, u):

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,49 @@ class TestReadme:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out
+
+
+def fresh_interpreter(code, *args):
+    """stdout of ``code`` run by a new Python on this checkout's package."""
+    import lowkgreen
+    env = {k: v for k, v in os.environ.items() if k != "LOWK_GREEN_TOL"}
+    src = str(Path(lowkgreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+class TestWithoutScipy:
+    """scipy is a test-time reference only: the package never imports it."""
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, lowkgreen, lowkgreen.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert fresh_interpreter(code).strip() == "[]"
+
+    def test_readme_commands_without_scipy(self, capsys, monkeypatch):
+        # every README line in an interpreter where importing scipy fails,
+        # against the same line run here
+        code = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from lowkgreen.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+        commands = readme_commands()
+        runs = json.loads(fresh_interpreter(code, json.dumps(commands)))
+        monkeypatch.delenv("LOWK_GREEN_TOL", raising=False)
+        assert len(runs) == len(commands)
+        for argv, (rc, out, err) in zip(commands, runs):
+            assert rc == 0, argv
+            assert [out, err] == list(run(capsys, *argv)[1:]), argv
 
 
 class TestExpand:
@@ -194,17 +240,47 @@ class TestNonFinitePositions:
 
 
 class TestNonFiniteWavenumbers:
-    @pytest.mark.parametrize("argv", [
-        ["oracle", "free", "--k-start", "nan", "--k-count", "2"],
-        ["compare", "free", "--k-start", "nan", "--k-count", "1"],
-        ["oracle", "parabolic", "--k-start", "0.1", "--k-stop", "inf",
-         "--k-count", "3"],
-    ], ids=["oracle-nan-grid", "compare-nan-single", "oracle-inf-stop"])
-    def test_exit_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("argv,typed", [
+        (["oracle", "free", "--k-start", "nan", "--k-count", "2"],
+         "--k-start nan"),
+        (["compare", "free", "--k-start", "nan", "--k-count", "1"],
+         "--k-start nan"),
+        (["oracle", "parabolic", "--k-start", "0.1", "--k-stop", "inf",
+          "--k-count", "3"], "--k-stop inf"),
+        (["scaling", "free", "--k-start=-inf", "--k-count", "3"],
+         "--k-start -inf"),
+    ], ids=["oracle-nan-grid", "compare-nan-single", "oracle-inf-stop",
+            "scaling-minus-inf-start"])
+    def test_exit_2(self, capsys, argv, typed):
+        # refused before numpy builds the grid: no warning, and the error
+        # names the value that was typed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "wavenumbers must be finite" in err
+        assert typed in err
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("option,value", [
+        ("--ode-tol", "nan"), ("--ode-tol", "-1e-10"), ("--ode-tol", "inf"),
+        ("--epsilon-imag", "-1e-8"), ("--epsilon-imag", "nan"),
+    ])
+    def test_exit_2(self, capsys, option, value):
+        code, out, err = run(capsys, "oracle", "free", "--k-start", "0.3",
+                             "--k-count", "1", f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert "must be finite and" in err
+
+    def test_zero_epsilon_allowed(self, capsys):
+        code, out, _ = run(capsys, "oracle", "free", "--x", "1.0", "--y", "0.0",
+                           "--k-start", "0.5", "--k-count", "1",
+                           "--epsilon-imag", "0")
+        assert code == 0
+        assert out
 
 
 class TestScaling:

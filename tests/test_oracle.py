@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
+from scipy.integrate import solve_ivp as stock_solve_ivp
+from scipy.integrate._ivp import rk
 from scipy.special import jv
 
 from lowkgreen import oracle
@@ -389,28 +391,57 @@ def test_stencil_matches_pointwise_values(name, params):
 
 
 class TestStageBatched:
-    """The stage-batched DOP853 against scipy's on the same scalar
-    right-hand side: the same steps and the same work, with values within
-    the ODE tolerance (numpy may fuse multiply-adds that Python rounds
-    twice).  These guard its use of scipy's RungeKutta internals."""
+    """The module's DOP853 driver against stock scipy DOP853 on the same
+    scalar right-hand side.  Stepped with scipy's arithmetic (stages
+    combined with numpy, scipy's RMS error norm), the driver's initial
+    step, controller and step loop take stock DOP853's steps bit for bit.
+    The plain-float stepper of a single sample rounds differently (numpy
+    may fuse multiply-adds that Python rounds twice), which the error
+    estimate's cancellation carries into the step sizes: it takes as many
+    steps with the same work and ends within the ODE tolerance."""
 
-    @staticmethod
-    def both(coeff, stage, span, y0, **options):
+    class Reference(_GridDOP853):
+        """_GridDOP853's numpy stage sums on one wavenumber's scalar stage,
+        with stock DOP853's error norm."""
+
+        E3, E5 = oracle.E3, oracle.E5
+        _estimate_error_norm = DOP853._estimate_error_norm
+
+    @classmethod
+    def both(cls, coeff, stage, span, y0, **options):
+        """(stock, reference, batched): scipy's DOP853, the driver with
+        scipy's arithmetic, and the driver with the plain-float stepper."""
         def fun(t, y):
             return stage(coeff(np.array([t]))[0], y)
 
         kw = dict(rtol=CFG.ode_rel_tol, atol=CFG.ode_abs_tol, **options)
-        stock = solve_ivp(fun, span, y0, method="DOP853", **kw)
-        batched = solve_ivp(fun, span, y0, method=_StageDOP853, coeff=coeff,
-                            stage=stage, **kw)
-        assert stock.status == batched.status == 0
-        assert len(stock.t) == len(batched.t)
-        assert stock.nfev == batched.nfev
-        end, got = stock.y[:, -1], batched.y[:, -1]
-        assert np.all(np.abs(got - end) <= CFG.ode_rel_tol * np.abs(end))
-        return stock, batched
+        stock = stock_solve_ivp(fun, span, y0, method="DOP853", **kw)
+        reference, batched = (
+            oracle.solve_ivp(fun, span, y0, method=method, coeff=coeff,
+                             stage=stage, **kw)
+            for method in (cls.Reference, _StageDOP853))
+        assert stock.status == 0 and reference.success and batched.success
+        assert reference.t.tobytes() == stock.t.tobytes()
+        assert reference.nfev == batched.nfev == stock.nfev
+        assert len(batched.t) == len(stock.t)
+        end = stock.y[:, -1]
+        for res in (reference, batched):
+            assert np.all(np.abs(res.y[:, -1] - end)
+                          <= CFG.ode_rel_tol * np.abs(end))
+        return stock, reference, batched
 
     def test_tableau_is_scipys(self):
+        for name in ("A", "B", "C", "E3", "E5", "A_EXTRA", "C_EXTRA", "D"):
+            ours, stock = getattr(oracle, name), getattr(DOP853, name)
+            assert (ours.dtype, ours.shape) == (stock.dtype, stock.shape)
+            assert ours.tobytes() == stock.tobytes()
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+            assert float(getattr(oracle, name)).hex() == \
+                float(getattr(rk, name)).hex()
+        assert oracle.N_STAGES == DOP853.n_stages
+        assert oracle.ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+        # the plain-float stepper's rows are the tables' nonzero entries
         def dense(terms, size):
             row = np.zeros(size)
             for j, w in terms:
@@ -432,8 +463,8 @@ class TestStageBatched:
     def test_linear_sqrtwell_segment(self):
         sw = catalog("sqrtwell")
         k2 = complex(0.3, 1e-8) ** 2
-        stock, _ = self.both(lambda ts: sw.VS(ts) - k2, _linear, (40.0, 1.0),
-                             [1.0 + 0.0j, 0.3j])
+        stock, _, _ = self.both(lambda ts: sw.VS(ts) - k2, _linear,
+                                (40.0, 1.0), [1.0 + 0.0j, 0.3j])
         assert len(stock.t) > 10
 
     def test_riccati_from_phase_start(self):
@@ -442,25 +473,42 @@ class TestStageBatched:
         ld, _ = _phase_logderiv(sw, 3000.0, k2, "right")
         self.both(lambda ts: sw.VS(ts) - k2, _riccati, (3000.0, 20.0), [ld])
 
+    def test_initial_step_within_a_short_segment(self):
+        # the first step's estimate h0 (about 0.033) exceeds the segment,
+        # so it is clamped to it, and the Euler probe at h0 moves with it:
+        # the first step (about 0.026) depends on where the probe lands
+        par = catalog("parabolic")
+        k2 = complex(0.3, 1e-8) ** 2
+        for span in ((1.0, 1.03), (1.03, 1.0)):
+            stock, _, _ = self.both(lambda ts: par.VS(ts) - k2, _linear, span,
+                                    [1.0 + 0.0j, 0.3j])
+            assert len(stock.t) > 2
+
     def test_sharp_bump_rejects_steps(self):
         k2 = complex(0.5, 1e-8) ** 2
 
         def bump(ts):
             return 50.0 * np.exp(-((ts - 0.3) / 0.05) ** 2) - k2
 
-        stock, _ = self.both(bump, _linear, (-1.0, 1.0), [1.0 + 0.0j, 0.5j])
+        stock, _, _ = self.both(bump, _linear, (-1.0, 1.0), [1.0 + 0.0j, 0.5j])
         # f0 and the initial-step probe, then 12 per attempted step
         attempts = (stock.nfev - 2) // 12
         assert attempts > len(stock.t) - 1
 
     def test_dense_output(self):
         lc = catalog("logcosh")
-        stock, batched = self.both(lc.VS, _linear, (-6.0, 4.0),
-                                   np.array([1.0, 0.0]), dense_output=True)
         ts = np.linspace(-5.9, 3.9, 37)
-        want = stock.sol(ts)
-        assert (np.abs(batched.sol(ts) - want).max()
-                <= CFG.ode_rel_tol * np.abs(want).max())
+        for span in ((-6.0, 4.0), (4.0, -6.0)):
+            stock, reference, batched = self.both(
+                lc.VS, _linear, span, np.array([1.0, 0.0]), dense_output=True)
+            want = stock.sol(ts)
+            for res in (reference, batched):
+                got = np.array([res.sol(t) for t in ts]).T
+                assert (np.abs(got - want).max()
+                        <= CFG.ode_rel_tol * np.abs(want).max())
+            # on the steps' own ends too, the same interpolant
+            for t in list(stock.t) + list(ts):
+                assert reference.sol(t).tobytes() == stock.sol(t).tobytes()
 
     def test_coefficient_taken_inside_the_segment(self):
         seen = []
@@ -489,12 +537,23 @@ class TestStageBatched:
                 pytest.raises(NonconvergedODE, match="step size"):
             oracle._solve(coeff, _linear, (0.0, 1.0), [1.0 + 0.0j, 0.0j], CFG)
 
+    def test_nan_step_size_raises(self):
+        # a NaN coefficient at the start makes the first step NaN, which
+        # no comparison with the smallest step ever stops
+        def coeff(ts):
+            return np.full(ts.shape, complex(np.nan, 0.0))
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonconvergedODE, match="step size is NaN"):
+            oracle._solve(coeff, _linear, (0.0, 1.0), [1.0 + 0.0j, 0.0j], CFG)
+
     def test_every_oracle_solve_is_stage_batched(self, monkeypatch):
         methods = []
+        solve = oracle.solve_ivp
 
         def recording(*args, **kwargs):
             methods.append(kwargs["method"])
-            return solve_ivp(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "solve_ivp", recording)
         green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
@@ -502,6 +561,29 @@ class TestStageBatched:
         zero_energy_modes(catalog("barrier", a=1.0))
         assert len(methods) > 10
         assert set(methods) == {_StageDOP853}
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("ode_rel_tol", math.nan), ("ode_rel_tol", -1e-10), ("ode_rel_tol", 0.0),
+        ("ode_rel_tol", math.inf), ("boundary_tol", 0.0),
+        ("boundary_tol", math.nan), ("ode_abs_tol", -1e-13),
+        ("ode_abs_tol", math.inf), ("epsilon_imag", -1e-8),
+        ("epsilon_imag", math.nan),
+    ])
+    def test_bad_values_refused(self, name, value):
+        with pytest.raises(InvalidSpec, match=name):
+            SolverConfig(**{name: value})
+
+    def test_zero_epsilon_and_abs_tol_allowed(self):
+        SolverConfig(epsilon_imag=0.0, ode_abs_tol=0.0)
+
+    def test_tiny_rel_tol_is_floored(self):
+        free = catalog("free")
+        floored = SolverConfig(ode_rel_tol=oracle.RTOL_FLOOR)
+        assert green_exact_report(free, 0.5, 0.2, 0.3,
+                                  SolverConfig(ode_rel_tol=1e-300)) == \
+            green_exact_report(free, 0.5, 0.2, 0.3, floored)
 
 
 def _rel(a, b):
@@ -572,9 +654,10 @@ class TestGrid:
     def grid_work(monkeypatch, model, x, y, ks):
         """The RHS evaluations of every ODE solve of one grid."""
         nfev = []
+        solve = oracle.solve_ivp
 
         def recording(*args, **kwargs):
-            res = solve_ivp(*args, **kwargs)
+            res = solve(*args, **kwargs)
             nfev.append(res.nfev)
             return res
 
@@ -612,10 +695,11 @@ class TestGrid:
 
     def test_every_grid_solve_goes_through_solve_ivp(self, monkeypatch):
         methods = []
+        solve = oracle.solve_ivp
 
         def recording(*args, **kwargs):
             methods.append(kwargs["method"])
-            return solve_ivp(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "solve_ivp", recording)
         # the outermost k alone, then the others as they enter
@@ -634,7 +718,8 @@ class TestGrid:
             solver = _GridDOP853(
                 lambda t, y: y, 0.0, y0, 1.0,
                 coeff=lambda ts: np.ones((ts.size, riccati + pairs)),
-                stage=oracle._grid_stage(riccati), riccati=riccati)
+                stage=oracle._grid_stage(riccati), riccati=riccati,
+                rtol=CFG.ode_rel_tol, atol=CFG.ode_abs_tol)
             K = rng.normal(size=(13, size)) + 1j * rng.normal(size=(13, size))
             scale = rng.uniform(0.5, 2.0, size)
             columns = [[i] for i in range(riccati)] + \
