@@ -353,7 +353,14 @@ def _apply_config_defaults(ap, argv):
 SIGN_FLAGS = ("--plain", "--angle-left", "--angle-right")
 
 
-def _merge_negative_values(argv):
+def _value_flags(ap):
+    """The option strings of every subcommand's options that take a value."""
+    return {flag for sp in ap._subparsers._group_actions[0].choices.values()
+            for action in sp._actions if action.nargs != 0
+            for flag in action.option_strings}
+
+
+def _merge_negative_values(argv, value_flags):
     """Let bare negative numbers, -inf and minus-leading sign strings follow
     their value flags (argparse would read them as options otherwise)."""
     out = []
@@ -365,7 +372,7 @@ def _merge_negative_values(argv):
             out.append(f"{tok}=signs:{argv[i + 1]}")
             i += 2
             continue
-        if tok in ("--lower", "--upper", "--x", "--y") and i + 1 < len(argv) \
+        if tok in value_flags and i + 1 < len(argv) \
                 and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
@@ -377,8 +384,8 @@ def _merge_negative_values(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    argv = _merge_negative_values(list(argv))
     ap = build_parser()
+    argv = _merge_negative_values(list(argv), _value_flags(ap))
     try:
         _apply_config_defaults(ap, argv)
         args = ap.parse_args(argv)

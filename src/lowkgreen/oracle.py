@@ -4,10 +4,15 @@ The exact Green function is computed by integrating the second-order
 equation for complex wavenumber from both spatial ends: the solution
 decaying (or outgoing) at +infinity meets the one decaying at -infinity
 and their Wronskian normalizes the product.  Boundary data at the cutoff
-comes from a second-order phase-integral approximation of the decaying or
-outgoing ray, which keeps cutoffs modest even for slowly decaying tails.
-On such tails only the log-derivative of the solution is integrated (one
-Riccati component) from the cutoff in to where the solution has structure.
+come from the phase-integral series of the decaying or outgoing ray's
+log-derivative, u_0 + u_1 + u_2 + u_3.  A decaying or finite-limit end is
+cut at the first rung of a geometric ladder where the first term the data
+leave out, |u_4/u_0|, is below ``boundary_tol``; where the computed terms do
+not decrease, the data stop at u_2 and |u_2/u_0| is the test.  Confining
+and zero-edge ends take the second-order data, u_0 + u_1 + u_2.  This keeps
+cutoffs modest even for slowly decaying tails.  On such tails only the
+log-derivative of the solution is integrated (one Riccati component) from
+the cutoff in to where the solution has structure.
 Every solve runs the module's own DOP853 driver, ``solve_ivp``: the
 Dormand-Prince 8(5,3) tableau with its 7th-order dense output, started by
 the Hairer-Norsett-Wanner initial-step formula and stepped under their
@@ -37,7 +42,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -100,10 +105,14 @@ RICCATI_SWITCH_QUALITY = 1e-2
 
 
 def _vs_derivs(model, z, h):
+    """V_S and its first four derivatives at z from one five-point stencil
+    of spacing h."""
     vm2, vm1, v0, vp1, vp2 = model.VS(z + np.arange(-2, 3) * h).tolist()
     d1 = (vm2 - 8 * vm1 + 8 * vp1 - vp2) / (12 * h)
     d2 = (-vm2 + 16 * vm1 - 30 * v0 + 16 * vp1 - vp2) / (12 * h * h)
-    return v0, d1, d2
+    d3 = (-vm2 + 2 * vm1 - 2 * vp1 + vp2) / (2 * h * h * h)
+    d4 = (vm2 - 4 * vm1 + 6 * v0 - 4 * vp1 + vp2) / (h * h * h * h)
+    return v0, d1, d2, d3, d4
 
 
 def _sqrt_upper(q: complex) -> complex:
@@ -113,20 +122,53 @@ def _sqrt_upper(q: complex) -> complex:
     return s
 
 
-def _phase_logderiv(model, z: float, k2: complex, side: str):
-    """Log-derivative of the outgoing/decaying ray at z, with its own
-    second-order correction magnitude as a quality measure."""
-    h = 1e-4 * max(1.0, abs(z))
-    v0, d1, d2 = _vs_derivs(model, z, h)
+#: the stencil step, relative to max(1, |z|), of V_S''' and V_S'''': the
+#: step at which the fourth difference's rounding, eps |V_S| / h^4, meets
+#: its truncation, h^2 |V_S^(6)|.  At 1e-4 rounding swamps V_S'''' on
+#: power tails (it read 0.0 for 7.0e-10 on sqrtwell at z = 59)
+WIDE_STEP = sys.float_info.epsilon ** (1 / 6)
+
+
+def _phase_series(model, z: float, k2: complex, side: str):
+    """The phase-integral log-derivative u_0 + u_1 + ... of the
+    outgoing/decaying ray at z, in q = k^2 - V_S, as (second-order data,
+    |u_2/u_0|, boundary data, boundary error).
+
+    Where the computed terms decrease, |u_4| <= |u_3| <= |u_2|, the
+    boundary data carry the series through u_3 and their error is the
+    first term left out, |u_4/u_0|.  Elsewhere the series is not asymptotic
+    (an exponential end at small k), or rounding swamps the stencil's
+    higher derivatives (V_S near a nonzero limit), and the boundary data
+    are the second-order data, with error |u_2/u_0|."""
+    scale = max(1.0, abs(z))
+    v0, d1, d2, _, _ = _vs_derivs(model, z, 1e-4 * scale)
+    _, _, _, d3, d4 = _vs_derivs(model, z, WIDE_STEP * scale)
     q = k2 - v0
-    qp, qpp = -d1, -d2
+    qp, qpp, q3, q4 = -d1, -d2, -d3, -d4
     s = _sqrt_upper(q)
+    # u_2 and u_4 are +-i times these, with the sign of u_0 = +-i*s
     corr = -qpp / (8.0 * q * s) + 5.0 * qp * qp / (32.0 * q * q * s)
+    # u_3 and u_4 in the ratios q^(n)/q, so that they overflow no sooner
+    # than u_2 does
+    a, b, c, d = qp / q, qpp / q, q3 / q, q4 / q
+    u3 = (4.0 * c - 18.0 * a * b + 15.0 * a * a * a) / (64.0 * q)
+    corr4 = (64.0 * d - 448.0 * a * c - 304.0 * b * b + 1768.0 * a * a * b
+             - 1105.0 * a * a * a * a) / (2048.0 * q * s)
     if side == "right":
         ld = 1j * s - qp / (4.0 * q) + 1j * corr
     else:
         ld = -1j * s - qp / (4.0 * q) - 1j * corr
-    return ld, abs(corr) / max(abs(s), 1e-300)
+    lead = max(abs(s), 1e-300)
+    quality = abs(corr) / lead
+    if abs(corr4) <= abs(u3) <= abs(corr):
+        return ld, quality, ld + u3, abs(corr4) / lead
+    return ld, quality, ld, quality
+
+
+def _phase_logderiv(model, z: float, k2: complex, side: str):
+    """(boundary data, boundary error) of ``_phase_series`` at z."""
+    _, _, ld, error = _phase_series(model, z, k2, side)
+    return ld, error
 
 
 #: steps of the confining march whose V_S values are taken in one call (the
@@ -156,34 +198,44 @@ def _confining_cutoff(model, start: float, k2: complex, side: str) -> float:
 
 
 def _auto_cutoff(model, inner: float, k2: complex, side: str,
-                 cfg: SolverConfig) -> Tuple[float, Optional[float]]:
-    """(cutoff, switch): where the outer boundary data are imposed, and the
-    point inward of which the linear ODE takes over from the Riccati tail
-    (None where the whole side is integrated linearly)."""
+                 cfg: SolverConfig):
+    """(cutoff, switch, boundary data, boundary error): where the outer
+    boundary data are imposed, the point inward of which the linear ODE
+    takes over from the Riccati tail (None where the whole side is
+    integrated linearly), the log-derivative imposed there, and the
+    phase-integral term it leaves out (None on confining and zero-edge
+    ends, which impose the second-order data).
+
+    A decaying or finite-limit end takes the first rung of a geometric
+    ladder where ``_phase_series``' boundary error is below
+    ``boundary_tol``."""
     sgn = 1.0 if side == "right" else -1.0
     vs_lim = model.vs_limit_right if side == "right" else model.vs_limit_left
     if math.isinf(vs_lim):
         if vs_lim < 0:
             raise UnsupportedAsymptotics("V_S -> -infinity is outside scope")
-        return _confining_cutoff(model, inner, k2, side), None
+        cut = _confining_cutoff(model, inner, k2, side)
+        return cut, None, _phase_series(model, cut, k2, side)[0], None
     zero_edge = model.vs_zero_above if side == "right" else model.vs_zero_below
-    if zero_edge is not None and math.isinf(zero_edge):
-        return inner, None
     if zero_edge is not None:
+        if math.isinf(zero_edge):
+            cut = inner
         # start safely inside the exactly-zero region, clear of the edge
-        if side == "right":
-            return max(inner, zero_edge) + 0.5, None
-        return min(inner, zero_edge) - 0.5, None
+        elif side == "right":
+            cut = max(inner, zero_edge) + 0.5
+        else:
+            cut = min(inner, zero_edge) - 0.5
+        return cut, None, _phase_series(model, cut, k2, side)[0], None
     x = inner + sgn * 1.0
     switch = None
     for _ in range(200):
         q = k2 - vs_lim - (float(model.VS(np.array([x]))[0]) - vs_lim)
         if abs(q) > 0.2 * max(abs(k2 - vs_lim), 1e-12):
-            _, quality = _phase_logderiv(model, x, k2, side)
+            _, quality, ld, error = _phase_series(model, x, k2, side)
             if switch is None and quality < RICCATI_SWITCH_QUALITY:
                 switch = x
-            if quality < cfg.boundary_tol:
-                return x, (switch if switch != x else None)
+            if error < cfg.boundary_tol:
+                return x, (switch if switch != x else None), ld, error
         x = inner + sgn * (abs(x - inner) * 1.5)
     raise NonconvergedODE(f"no usable {side} cutoff found")
 
@@ -863,24 +915,31 @@ class _Span:
         return sorted(keep, reverse=bool(a > b))
 
     def cutoffs(self, model, k2, cfg):
-        """((cutoff, switch) on the left, the same on the right)."""
-        x_r, sw_r = (cfg.cutoff_right, None) \
-            if cfg.cutoff_right is not None else \
-            _auto_cutoff(model, self.xi + 0.5, k2, "right", cfg)
-        x_l, sw_l = (cfg.cutoff_left, None) \
-            if cfg.cutoff_left is not None else \
-            _auto_cutoff(model, self.yi - 0.5, k2, "left", cfg)
-        return (min(x_l, self.yi), sw_l), (max(x_r, self.xi), sw_r)
+        """(left end, right end), each as ``_auto_cutoff`` gives it."""
+        right = self._end(model, k2, cfg.cutoff_right, self.xi, "right", cfg)
+        left = self._end(model, k2, cfg.cutoff_left, self.yi, "left", cfg)
+        return left, right
+
+    @staticmethod
+    def _end(model, k2, cutoff, edge, side, cfg):
+        """The end beyond ``edge`` on ``side``: ``_auto_cutoff``'s, or the
+        config's ``cutoff`` (moved out to ``edge`` where it falls inside),
+        with ``_phase_logderiv``'s data and no switch."""
+        if cutoff is None:
+            inner = edge + 0.5 if side == "right" else edge - 0.5
+            return _auto_cutoff(model, inner, k2, side, cfg)
+        cut = max(cutoff, edge) if side == "right" else min(cutoff, edge)
+        return (cut, None) + _phase_logderiv(model, cut, k2, side)
 
 
 def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
-    """One _Solution per wavenumber, from its (cutoff, switch) of ``sides``
-    to ``end``, by one sweep inward from the outermost cutoff.  The
-    sweep's stops are the span's stops from there to ``end`` plus every
-    cutoff and switch point.
+    """One _Solution per wavenumber, from its end of ``sides`` (cutoff,
+    switch, boundary data, boundary error) to ``end``, by one sweep inward
+    from the outermost cutoff.  The sweep's stops are the span's stops from
+    there to ``end`` plus every cutoff and switch point.
 
-    A wavenumber enters the sweep at its own cutoff with the
-    phase-integral log-derivative ld there: as the pair (psi, psi') =
+    A wavenumber enters the sweep at its own cutoff with its boundary data,
+    the phase-integral log-derivative ld there: as the pair (psi, psi') =
     (1, ld) where it has no switch point, or else as the log-derivative
     u = psi'/psi alone, through the Riccati equation
     u' = (V_S - k^2) - u^2, and at its switch point as the pair (1, u).
@@ -895,11 +954,11 @@ def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
     """
     down = side == "right"
     n = len(k2s)
-    sols = [_Solution(switch) for _, switch in sides]
-    cuts = [cut for cut, _ in sides]
+    sols = [_Solution(switch) for _, switch, _, _ in sides]
+    cuts = [cut for cut, _, _, _ in sides]
     stops = set(span.stops(max(cuts) if down else min(cuts), end))
     stops.update(cuts)
-    stops.update(switch for _, switch in sides if switch is not None)
+    stops.update(switch for _, switch, _, _ in sides if switch is not None)
     # u while a wavenumber is in ``ric``, (psi, psi', logscale) in ``lin``
     u, psi, dpsi, logscale = [None] * n, [None] * n, [None] * n, [0.0] * n
     ric, lin = [], []
@@ -938,9 +997,8 @@ def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
             ric.remove(i)
             lin.append(i)
             psi[i], dpsi[i] = 1.0 + 0.0j, u[i]
-        for i, (cut, switch) in enumerate(sides):
+        for i, (cut, switch, ld, _) in enumerate(sides):
             if cut == here:
-                ld, _ = _phase_logderiv(model, cut, k2s[i], side)
                 if switch is None:
                     lin.append(i)
                     psi[i], dpsi[i] = 1.0 + 0.0j, ld
@@ -995,10 +1053,10 @@ def _physical_k(k, cfg):
     return k, eps_used
 
 
-def _green_from(span, x, y, k, eps_used, left, right, x_l, x_r):
+def _green_from(span, x, y, k, eps_used, left, right, left_end, right_end):
     """(sample, diagnostics) from the two sides' solutions at the span's
-    record points; raises WronskianDegenerate where they are nearly
-    proportional."""
+    record points and the ends they started from; raises
+    WronskianDegenerate where they are nearly proportional."""
     mid, xi, yi = span.mid, span.xi, span.yi
     w_mid, w_mid_log = _wronskian(left.get(mid), right.get(mid))
     lp, _, ls = left.get(yi)
@@ -1029,8 +1087,10 @@ def _green_from(span, x, y, k, eps_used, left, right, x_l, x_r):
     diag = {
         "k_effective": k,
         "epsilon_imag": eps_used,
-        "cutoff_left": x_l,
-        "cutoff_right": x_r,
+        "cutoff_left": left_end[0],
+        "cutoff_right": right_end[0],
+        "boundary_error_left": left_end[3],
+        "boundary_error_right": right_end[3],
         "wronskian_variation": var,
         "wronskian_condition": abs(w_mid) / degeneracy,
         "derivative_jump_defect": defect,
@@ -1097,11 +1157,11 @@ def _solve_grid(model, x, y, ks, cfg):
         reports, failed = _each_k(model, x, y, ks[:len(setups)], cfg)
         return reports, failed or error
     reports = []
-    for k, eps, (x_l, _), (x_r, _), left, right in zip(
+    for k, eps, left_end, right_end, left, right in zip(
             k_used, eps_used, left_ends, right_ends, lefts, rights):
         try:
             reports.append(_green_from(span, x, y, k, eps, left, right,
-                                       x_l, x_r))
+                                       left_end, right_end))
         except WronskianDegenerate as exc:
             return reports, exc
     return reports, error

@@ -275,6 +275,21 @@ class TestSolverOptions:
         assert out == ""
         assert "must be finite and" in err
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--ode-tol", "-1e-10", "ode_rel_tol must be finite and positive"),
+        ("--epsilon-imag", "-1e-8",
+         "epsilon_imag must be finite and non-negative"),
+        ("--k-start", "-inf", "wavenumbers must be finite (--k-start -inf)"),
+    ])
+    def test_negative_value_as_its_own_token(self, capsys, option, value,
+                                             message):
+        # as a shell passes it: the range check answers, not argparse
+        code, out, err = run(capsys, "oracle", "free", "--k-start", "0.3",
+                             "--k-count", "1", option, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_zero_epsilon_allowed(self, capsys):
         code, out, _ = run(capsys, "oracle", "free", "--x", "1.0", "--y", "0.0",
                            "--k-start", "0.5", "--k-count", "1",

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp as stock_solve_ivp
 from scipy.integrate._ivp import rk
 from scipy.special import jv
 
-from lowkgreen import oracle
+from lowkgreen import custom_model, oracle
 from lowkgreen.errors import (
     BesselNonconvergence,
     DegenerateFit,
@@ -33,7 +33,12 @@ from lowkgreen.oracle import (
     remainder_scaling_fit,
     zero_energy_modes,
 )
-from lowkgreen.potential import catalog
+from lowkgreen.potential import (
+    EXPONENTIAL,
+    EndpointClass,
+    EndpointKind,
+    catalog,
+)
 
 CFG = SolverConfig()
 
@@ -264,14 +269,17 @@ TAIL_REFERENCE = [
 # Paths the Riccati tail leaves alone (confining and zero-edge cutoffs, and
 # cutoffs set in the config), recorded with V_S taken from inside each
 # segment: (..., config, value).  The barrier rows (value None) are checked
-# against green_closed_ex6.
+# against green_closed_ex6.  The sqrtwell row was re-recorded when
+# boundary data set in the config gained u_3: it was
+# 0.47023938047530117-1.820172379649576j, 3.0e-6 from a solve cut at
+# +-14790, and is now 4.9e-7 from it.
 UNTOUCHED_REFERENCE = [
     ("parabolic", {}, 1.2, 1.0, 0.01, {}, complex(1665.3715425604971, -0.00333131687016661)),
     ("parabolic", {}, 1.2, 1.0, 0.3, {}, complex(1.5533428668344227, -1.241337276289836e-07)),
     ("barrier", {"a": 1.0}, 0.5, -0.3, 0.01, {}, None),
     ("barrier", {"a": 1.0}, 0.5, -0.3, 0.3, {}, None),
     ("sqrtwell", {}, 1.0, -0.5, 0.3, {"cutoff_left": -40.0, "cutoff_right": 40.0},
-     complex(0.47023938047530117, -1.820172379649576)),
+     complex(0.470235660881846, -1.8201768294864904)),
     ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.05, {"cutoff_left": -20.0, "cutoff_right": 60.0},
      complex(1.3612679380653505, -14.459756034679353)),
 ]
@@ -339,13 +347,16 @@ class TestRiccatiTail:
 
 # Confining cutoffs (parabolic both ends, exponential on the right; the
 # exponential's left end is a ladder cutoff), recorded before the march
-# evaluated V_S a block at a time: (model, x, y, k, cutoff_left, cutoff_right)
+# evaluated V_S a block at a time: (model, x, y, k, cutoff_left, cutoff_right).
+# The exponential k = 4 row's left end was -17.931537499999997 under the
+# second-order rule; the first omitted term accepts -8.43935, where the
+# sample is 3.2e-10 from a solve cut at -179.3 (1.95e-10 before).
 CONFINING_CUTOFFS = [
     ("parabolic", 1.2345, 0.9871, 0.01, -9.2629, 9.2345),
     ("parabolic", 1.2345, 0.9871, 3.0, -10.2629, 10.2345),
     ("parabolic", -0.3, -2.1, 0.7 + 0.2j, -9.6, 9.45),
     ("exponential", 0.5123, -0.3456, 0.02, -39.28895937499998, 4.5123),
-    ("exponential", 0.5123, -0.3456, 4.0, -17.931537499999997, 4.7623),
+    ("exponential", 0.5123, -0.3456, 4.0, -8.43935, 4.7623),
 ]
 
 
@@ -387,7 +398,113 @@ def test_stencil_matches_pointwise_values(name, params):
         v = [float(model.VS(np.array([z + j * h]))[0]) for j in (-2, -1, 0, 1, 2)]
         d1 = (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
         d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-        assert oracle._vs_derivs(model, z, h) == (v[2], d1, d2)
+        d3 = (-v[0] + 2 * v[1] - 2 * v[3] + v[4]) / (2 * h * h * h)
+        d4 = (v[0] - 4 * v[1] + 6 * v[2] - 4 * v[3] + v[4]) / (h * h * h * h)
+        assert oracle._vs_derivs(model, z, h) == (v[2], d1, d2, d3, d4)
+
+
+def neg_exponential():
+    """Case III: V = -e^z, whose left end decays exponentially to V_S = 0."""
+    return custom_model(
+        "neg-exponential", lambda z: -np.exp(z), lambda z: 0.5 * np.exp(z),
+        left=EndpointClass(EndpointKind.FINITE_LIMIT, EXPONENTIAL, 0.0),
+        right=EndpointClass(EndpointKind.MINUS_INFINITY, EXPONENTIAL),
+        eval_VS=lambda z: 0.25 * np.exp(2 * z) + 0.5 * np.exp(z),
+        vs_limit_left=0.0, vs_limit_right=math.inf)
+
+
+def second_order_cutoff(model, inner, k2, side, tol):
+    """The ladder cutoff where the second-order term, |u_2/u_0|, falls below
+    tol: the rule before the first omitted term, one point at a time."""
+    sgn = 1.0 if side == "right" else -1.0
+    lim = model.vs_limit_right if side == "right" else model.vs_limit_left
+    x = inner + sgn
+    for _ in range(200):
+        h = 1e-4 * max(1.0, abs(x))
+        v = [float(model.VS(np.array([x + j * h]))[0])
+             for j in (-2, -1, 0, 1, 2)]
+        if abs(k2 - lim - (v[2] - lim)) > 0.2 * max(abs(k2 - lim), 1e-12):
+            qp = -(v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
+            qpp = (v[0] - 16 * v[1] + 30 * v[2] - 16 * v[3] + v[4]) \
+                / (12 * h * h)
+            q = k2 - v[2]
+            s = cmath.sqrt(q)
+            u2 = -qpp / (8.0 * q * s) + 5.0 * qp * qp / (32.0 * q * q * s)
+            if abs(u2) / max(abs(s), 1e-300) < tol:
+                return x
+        x = inner + sgn * (abs(x - inner) * 1.5)
+    raise AssertionError("no second-order cutoff")
+
+
+class TestFirstOmittedTerm:
+    """Ladder cutoffs accepted where the first phase-integral term the
+    boundary data leave out is below boundary_tol, checked against
+    references that do not depend on where the cutoffs fall."""
+
+    BOUND = CFG.ode_rel_tol + CFG.boundary_tol
+
+    @pytest.mark.parametrize("k", [0.1, 0.3, 1.0])
+    def test_sqrtwell_against_far_cutoffs(self, k):
+        sw = catalog("sqrtwell")
+        s, d = green_exact_report(sw, 1.0, -0.5, k, CFG)
+        far = SolverConfig(cutoff_left=10 * d["cutoff_left"],
+                           cutoff_right=10 * d["cutoff_right"],
+                           ode_rel_tol=1e-12)
+        want = green_exact(sw, 1.0, -0.5, k, far).value
+        assert _rel(s.value, want) <= self.BOUND
+
+    # at the smallest k the ODE tolerance sets the distance, and the bound
+    # is the distance under the second-order rule (1.5408e-9 and
+    # 2.1527e-9), rounded up
+    @pytest.mark.parametrize("alpha,k,bound", [
+        (1.5, 0.006, 1.541e-9), (1.5, 0.02, BOUND), (1.5, 0.2, BOUND),
+        (1.5, 0.7, BOUND), (2.5, 0.006, 2.153e-9), (2.5, 0.02, BOUND),
+        (2.5, 0.2, BOUND), (2.5, 0.7, BOUND),
+    ])
+    def test_logstep_against_closed_form(self, alpha, k, bound):
+        s, _ = green_exact_report(catalog("logstep", alpha=alpha), 1.5, 0.8,
+                                  k, CFG)
+        assert _rel(s.value, green_closed_ex5(1.5, 0.8, s.k, alpha)) <= bound
+
+    @pytest.mark.parametrize("model,sides", [
+        (catalog("exponential"), ("left",)),
+        (catalog("logcosh"), ("left", "right")),
+        (neg_exponential(), ("left",)),
+    ], ids=["exponential", "logcosh", "neg-exponential"])
+    def test_no_cutoff_moves_out(self, model, sides):
+        # where rounding swamps the higher terms (V_S near a nonzero limit)
+        # or the series is not asymptotic (small k), the second-order test
+        # decides
+        for k in np.geomspace(0.01, 8.0, 30):
+            k2 = complex(k, CFG.epsilon_imag) ** 2
+            for side in sides:
+                inner = 1.3 if side == "right" else -0.8
+                cut = oracle._auto_cutoff(model, inner, k2, side, CFG)[0]
+                old = second_order_cutoff(model, inner, k2, side,
+                                          CFG.boundary_tol)
+                assert abs(cut - inner) <= abs(old - inner)
+
+    def test_boundary_errors_reported(self):
+        sw = catalog("sqrtwell")
+        ks = [0.1, 0.3]
+        grid = green_exact_grid(sw, 1.0, -0.5, ks, CFG)
+        for k, (_, d) in zip(ks, grid):
+            single = green_exact_report(sw, 1.0, -0.5, k, CFG)[1]
+            for key in ("boundary_error_left", "boundary_error_right"):
+                assert 0 < d[key] < CFG.boundary_tol
+                assert d[key] == single[key]
+        # a cutoff set too close reports its own estimate
+        _, d = green_exact_report(sw, 1.0, -0.5, 0.3, SolverConfig(
+            cutoff_left=-40.0, cutoff_right=40.0))
+        assert d["boundary_error_left"] > CFG.boundary_tol
+        assert d["boundary_error_right"] > CFG.boundary_tol
+        # confining and zero-edge ends impose the second-order data
+        _, d = green_exact_report(catalog("parabolic"), 1.2, 1.0, 0.3, CFG)
+        assert d["boundary_error_left"] is d["boundary_error_right"] is None
+        _, d = green_exact_report(catalog("logstep", alpha=1.5), 1.5, 0.8,
+                                  0.3, CFG)
+        assert d["boundary_error_left"] is None
+        assert 0 < d["boundary_error_right"] < CFG.boundary_tol
 
 
 class TestStageBatched:
