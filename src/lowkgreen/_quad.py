@@ -65,6 +65,14 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     return c[..., : n + 1]
 
 
+#: the cumulative integral from t = -1 at the Lobatto nodes: row i of
+#: CUMULATIVE @ values is the integral from -1 to _NODES[i] of the
+#: interpolant of the values (``chebint`` of the cardinal functions)
+CUMULATIVE = _cheb.chebval(
+    _NODES,
+    _cheb.chebint(cheb_coeffs(np.eye(DEGREE + 1)), lbnd=-1, axis=1).T).T
+
+
 def _clenshaw(coefs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``chebval`` at each t[i] with the coefficients ``coefs[rows[i]]``.
 

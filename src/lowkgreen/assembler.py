@@ -440,27 +440,26 @@ def closed_form_g(model: PotentialModel, x: float, y: float,
 # -- vanishing-potential route -----------------------------------------------------
 
 
+def _fp_potential(v, z):
+    """-2*log(psi) from psi's values v at the points z; NegativeZeroMode
+    names the first z where psi is not positive."""
+    bad = v <= 0
+    if bad.any():
+        raise NegativeZeroMode("zero-energy solution is not positive at "
+                               f"z={z[np.argmax(bad)]:g}")
+    return -2.0 * np.log(v)
+
+
 def _aux_model(name, psi, breakpoints, side_of_one):
     """Fokker-Planck potential -2*log(psi) built from a zero-energy solution."""
 
     def V(z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        for i, zz in enumerate(z):
-            v = psi(zz)
-            if v <= 0:
-                raise NegativeZeroMode(
-                    f"zero-energy solution is not positive at z={zz:g}")
-            out[i] = -2.0 * math.log(v)
-        return out
+        return _fp_potential(psi(z), z)
 
     def f(z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        for i, zz in enumerate(z):
-            v, dv = psi.value_and_slope(zz)
-            out[i] = dv / v
-        return out
+        return psi.slope(z) / psi(z)
 
     if side_of_one == "left":
         left = EndpointClass(EndpointKind.FINITE_LIMIT,
@@ -475,27 +474,27 @@ def _aux_model(name, psi, breakpoints, side_of_one):
 
 
 def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
-                      cfg: QuadratureConfig = QuadratureConfig(),
-                      solver_cfg=None) -> ExpansionResult:
+                      cfg: QuadratureConfig = QuadratureConfig()) -> ExpansionResult:
     """Expansion for V_S vanishing at both ends, via zero-energy solutions.
 
-    The two solutions normalized at the two infinities define a pair of
-    auxiliary potentials; the right-going family is evaluated on one and
-    the left-going family on the other, which keeps every coefficient
-    finite to all orders the underlying decay supports.
+    The two solutions normalized at the two infinities, solved on Chebyshev
+    panels to ``cfg.rel_tol``, define a pair of auxiliary potentials; the
+    right-going family is evaluated on one and the left-going family on the
+    other, which keeps every coefficient finite to all orders the
+    underlying decay supports.
     """
-    from .oracle import SolverConfig, zero_energy_modes
+    from .oracle import zero_energy_modes
 
     check_positions(x, y)
     xo, yo = float(x), float(y)
     if x < y:
         x, y = y, x
-    scfg = solver_cfg if solver_cfg is not None else SolverConfig()
-    psi_m, psi_p, wr = zero_energy_modes(model, scfg)
-    mid = 0.5 * (x + y)
-    vm, dm = psi_m.value_and_slope(mid)
-    vp, dp = psi_p.value_and_slope(mid)
-    scale = abs(vm * dp) + abs(dm * vp) + abs(vm * vp)
+    psi_m, psi_p, wr = zero_energy_modes(model, cfg)
+    # psi and psi' of both solutions at x, y and the midpoint
+    pts = np.array([x, y, 0.5 * (x + y)])
+    vm, vp = psi_m(pts), psi_p(pts)
+    dm, dp = psi_m.slope(pts), psi_p.slope(pts)
+    scale = abs(vm[2] * dp[2]) + abs(dm[2] * vp[2]) + abs(vm[2] * vp[2])
     if abs(wr) < 1e-8 * scale:
         raise ExceptionalCase(
             "zero-energy solutions are proportional; use the finite-limit "
@@ -507,10 +506,7 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
 
     def s_minus_one(z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        for i, zz in enumerate(z):
-            out[i] = -0.5 * wr / (psi_m(zz) * psi_p(zz))
-        return out
+        return -0.5 * wr / (psi_m(z) * psi_p(z))
 
     s_top = max(N - 1, 0)
     right = family_coefficients(m_minus, cfg, y, x, Family.A, Side.RIGHT, s_top)
@@ -519,21 +515,15 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
     for n in range(0, s_top + 1):
         fns[n] = _summed([right[n], left[n]])
     eng = _SeriesEngine(fns, CaseTag.III, s_top, model.breakpoints, cfg)
+    # the auxiliary potentials and drifts at x and y
+    (Vmx, Vmy), (Vpx, Vpy) = (_fp_potential(v[:2], pts[:2]) for v in (vm, vp))
+    (fmx, fmy), (fpx, fpy) = dm[:2] / vm[:2], dp[:2] / vp[:2]
     # q0 has the closed form from integrating the slopes of the log-solutions
-    q0 = 0.25 * float((m_minus.V(x) - m_minus.V(y)
-                       - m_plus.V(x) + m_plus.V(y))[0])
+    q0 = 0.25 * float(Vmx - Vmy - Vpx + Vpy)
     sx, sy, q, g, imag_worst, achieved = eng.expansion(x, y, N, exact={0: q0})
 
     # the printed order-0/1 forms in terms of the zero-energy data
-    vmx, dmx = psi_m.value_and_slope(x)
-    vpx, dpx = psi_p.value_and_slope(x)
-    vmy, dmy = psi_m.value_and_slope(y)
-    vpy, dpy = psi_p.value_and_slope(y)
-    fmx, fpx = dmx / vmx, dpx / vpx
-    fmy, fpy = dmy / vmy, dpy / vpy
-    g0_ref = -math.exp(0.25 * (-2 * math.log(vmx) + 2 * math.log(vpx)
-                               + 2 * math.log(vmy) - 2 * math.log(vpy))) \
-        / math.sqrt((fmx - fpx) * (fmy - fpy))
+    g0_ref = -math.exp(q0) / math.sqrt((fmx - fpx) * (fmy - fpy))
     diag = {
         "route": "generic",
         "wronskian": wr,
@@ -541,13 +531,11 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
         "g0_closed_residual": abs(g.coeff_or_zero(0).real / g0_ref - 1.0),
     }
     if achieved >= 1:
-        evm = lambda z: float(m_minus.V(np.array([z]))[0])
-        evp = lambda z: float(m_plus.V(np.array([z]))[0])
         integ = _integral(lambda z: np.exp(m_minus.V(z)) + np.exp(m_plus.V(z)),
                           y, x, model.breakpoints, cfg)
         g1_ref = 0.5 * (integ
-                        + (math.exp(evm(x)) + math.exp(evp(x))) / (fmx - fpx)
-                        + (math.exp(evm(y)) + math.exp(evp(y))) / (fmy - fpy)) \
+                        + (math.exp(Vmx) + math.exp(Vpx)) / (fmx - fpx)
+                        + (math.exp(Vmy) + math.exp(Vpy)) / (fmy - fpy)) \
             * g0_ref
         diag["g1_closed_residual"] = abs(g.coeff_or_zero(1).real / g1_ref - 1.0)
     return ExpansionResult(

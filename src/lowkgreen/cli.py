@@ -130,7 +130,7 @@ def _emit_table(args, comment, columns, rows):
 def _expansion(args, model, cfg):
     if args.generic or model.vs_defined_only:
         return assembler.generic_expansion(model, args.x, args.y, args.order,
-                                           cfg, _solver_cfg(args))
+                                           cfg)
     return assembler.green_series(model, args.x, args.y, args.order, cfg)
 
 
@@ -163,8 +163,8 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _g_exact_grid(model, x, y, ks, scfg):
-    return [s.value for s, _ in oracle.green_exact_grid(model, x, y, ks, scfg)]
+def _exact_samples(model, x, y, ks, scfg):
+    return [s for s, _ in oracle.green_exact_grid(model, x, y, ks, scfg)]
 
 
 def cmd_compare(args) -> int:
@@ -172,7 +172,7 @@ def cmd_compare(args) -> int:
     cfg = _quad_cfg(args)
     result = _expansion(args, model, cfg)
     ks = _k_grid(args)
-    exact = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args))
+    exact = _exact_samples(model, args.x, args.y, ks, _solver_cfg(args))
     orders = [n for n in range(result.g.min_order, result.N + 1)
               if result.g.coeff_or_zero(n) != 0 or n == result.N]
     p = assembler.log_form(result) if args.log_form else None
@@ -183,18 +183,21 @@ def cmd_compare(args) -> int:
     cols += ["re_logform", "im_logform"] if p is not None else []
     cols += ["abs_residual"]
     rows = []
-    for k, g in zip(ks, exact):
+    # the sums are taken at the k the oracle used (k + i*epsilon for a
+    # real k), the k column keeps the requested one
+    for k, sample in zip(ks, exact):
+        g, k_used = sample.value, sample.k
         row = [k, g.real, g.imag]
         for n in orders:
-            s = result.truncated_sum(k, n)
+            s = result.truncated_sum(k_used, n)
             row += [s.real, s.imag]
         if p is not None:
-            ik = 1j * k
+            ik = 1j * k_used
             lead = result.g.coeff(result.g.val) * ik ** result.g.val
             expo = sum(pm * ik ** (m + 1) for m, pm in enumerate(p))
             lf = lead * np.exp(expo)
             row += [lf.real, lf.imag]
-        row += [abs(g - result.truncated_sum(k))]
+        row += [abs(g - result.truncated_sum(k_used))]
         rows.append(row)
     _emit_table(args, _case_comment(model, result), cols, rows)
     return 0
@@ -258,8 +261,8 @@ def cmd_scaling(args) -> int:
 def cmd_oracle(args) -> int:
     model = _model(args)
     ks = _k_grid(args)
-    vals = _g_exact_grid(model, args.x, args.y, ks, _solver_cfg(args))
-    rows = [[k, g.real, g.imag] for k, g in zip(ks, vals)]
+    samples = _exact_samples(model, args.x, args.y, ks, _solver_cfg(args))
+    rows = [[k, s.value.real, s.value.imag] for k, s in zip(ks, samples)]
     _emit_table(args, _case_comment(model), ["k", "re_exact", "im_exact"], rows)
     return 0
 

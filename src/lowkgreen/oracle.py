@@ -14,11 +14,11 @@ cutoffs modest even for slowly decaying tails.  On such tails only the
 log-derivative of the solution is integrated (one Riccati component) from
 the cutoff in to where the solution has structure.
 Every solve runs the module's own DOP853 driver, ``solve_ivp``: the
-Dormand-Prince 8(5,3) tableau with its 7th-order dense output, started by
-the Hairer-Norsett-Wanner initial-step formula and stepped under their
-step-size controller.  These are the tables, formulas and constants of
-scipy's ``solve_ivp(method="DOP853")``, the reference the tests check the
-driver against; the package itself does not import scipy.  V_S is
+Dormand-Prince 8(5,3) tableau, started by the Hairer-Norsett-Wanner
+initial-step formula and stepped under their step-size controller.  These
+are the tables, formulas and constants of scipy's
+``solve_ivp(method="DOP853")``, the reference the tests check the driver
+against; the package itself does not import scipy.  V_S is
 evaluated once per step at all of the step's stage abscissae, and it is
 taken from inside each segment, never from across the breakpoint a
 segment ends on.  Every request takes one path: a grid of k runs one
@@ -29,10 +29,15 @@ the grid of one k.  Only the stepper depends on the number of k active in
 a segment: one k combines its stages in plain Python floats, several
 combine theirs with numpy.
 
+A real k whose square is a finite limit of V_S (a threshold) is refused.
+
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
 zero-energy solutions used by the vanishing-potential route, and the
-log-log fitter that measures how the truncation error scales with k.
+log-log fitter that measures how the truncation error scales with k.  The
+zero-energy solutions take no ODE step: psi'' = V_S psi is solved as a
+Volterra equation on Chebyshev panels, by spectral integration, to the
+quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -46,12 +51,15 @@ from typing import Optional
 
 import numpy as np
 
+from ._quad import _NODES, CUMULATIVE, PiecewiseChebFun, cheb_coeffs
+from .brackets import QuadratureConfig
 from .errors import (
     BesselNonconvergence,
     DegenerateFit,
     InvalidSpec,
     LowkGreenError,
     NonconvergedODE,
+    ToleranceNotMet,
     UnsupportedAsymptotics,
     WronskianDegenerate,
 )
@@ -242,10 +250,10 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
 
 # -- DOP853 ---------------------------------------------------------------------
 #
-# Dormand & Prince's 8(5,3) pair and its 7th-order dense output, as in
-# Hairer's dop853.f (Hairer, Norsett & Wanner, "Solving Ordinary
-# Differential Equations I", Sec. II.10), with the coefficients written as
-# scipy's DOP853 carries them, so that the tables agree bit for bit.
+# Dormand & Prince's 8(5,3) pair, as in Hairer's dop853.f (Hairer, Norsett
+# & Wanner, "Solving Ordinary Differential Equations I", Sec. II.10), with
+# the coefficients written as scipy's DOP853 carries them, so that the
+# tables agree bit for bit.
 
 
 def _table(shape, rows):
@@ -257,10 +265,11 @@ def _table(shape, rows):
     return out
 
 
-#: stages of a step; the dense output evaluates three more
+#: stages of a step
 N_STAGES = 12
 
-_C = np.array([
+#: stage abscissae of a step
+C = np.array([
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -272,13 +281,9 @@ _C = np.array([
     0.651282051282051282051282051282,
     0.6,
     0.857142857142857142857142857142,
-    1.0,
-    1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778])
+    1.0])
 
-_A = _table((16, 16), {
+_A = _table((N_STAGES + 1, N_STAGES), {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2,
         1: 5.91751709536136983633785987549e-2},
@@ -338,37 +343,11 @@ _A = _table((16, 16), {
          9: -1.52160949662516078556178806805e-1,
          10: 2.01365400804030348374776537501e-1,
          11: 4.47106157277725905176885569043e-2},
-    # the three extra stages of the dense output
-    13: {0: 5.61675022830479523392909219681e-2,
-         6: 2.53500210216624811088794765333e-1,
-         7: -2.46239037470802489917441475441e-1,
-         8: -1.24191423263816360469010140626e-1,
-         9: 1.5329179827876569731206322685e-1,
-         10: 8.20105229563468988491666602057e-3,
-         11: 7.56789766054569976138603589584e-3,
-         12: -8.298e-3},
-    14: {0: 3.18346481635021405060768473261e-2,
-         5: 2.83009096723667755288322961402e-2,
-         6: 5.35419883074385676223797384372e-2,
-         7: -5.49237485713909884646569340306e-2,
-         10: -1.08347328697249322858509316994e-4,
-         11: 3.82571090835658412954920192323e-4,
-         12: -3.40465008687404560802977114492e-4,
-         13: 1.41312443674632500278074618366e-1},
-    15: {0: -4.28896301583791923408573538692e-1,
-         5: -4.69762141536116384314449447206,
-         6: 7.68342119606259904184240953878,
-         7: 4.06898981839711007970213554331,
-         8: 3.56727187455281109270669543021e-1,
-         12: -1.39902416515901462129418009734e-3,
-         13: 2.9475147891527723389556272149,
-         14: -9.15095847217987001081870187138},
 })
 
-#: stage abscissae, stage coefficients and solution weights of a step
-C = _C[:N_STAGES]
-A = _A[:N_STAGES, :N_STAGES]
-B = _A[N_STAGES, :N_STAGES]
+#: stage coefficients and solution weights of a step
+A = _A[:N_STAGES]
+B = _A[N_STAGES]
 #: the two error estimators, over the 12 stages and f at the step's end
 E3 = np.append(B, 0.0)
 E3[[0, 8, 11]] -= (0.244094488188976377952755905512,
@@ -383,61 +362,6 @@ E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
                0.8192320648511571246570742613e-1,
                -0.2235530786388629525884427845e-1,
                0.0])
-#: the dense output's extra stages (after f at the step's end), and the
-#: weights of its last four interpolation coefficients over all 16 stages
-A_EXTRA = _A[N_STAGES + 1:]
-C_EXTRA = _C[N_STAGES + 1:]
-D = _table((4, 16), {
-    0: {0: -0.84289382761090128651353491142e+1,
-        5: 0.56671495351937776962531783590,
-        6: -0.30689499459498916912797304727e+1,
-        7: 0.23846676565120698287728149680e+1,
-        8: 0.21170345824450282767155149946e+1,
-        9: -0.87139158377797299206789907490,
-        10: 0.22404374302607882758541771650e+1,
-        11: 0.63157877876946881815570249290,
-        12: -0.88990336451333310820698117400e-1,
-        13: 0.18148505520854727256656404962e+2,
-        14: -0.91946323924783554000451984436e+1,
-        15: -0.44360363875948939664310572000e+1},
-    1: {0: 0.10427508642579134603413151009e+2,
-        5: 0.24228349177525818288430175319e+3,
-        6: 0.16520045171727028198505394887e+3,
-        7: -0.37454675472269020279518312152e+3,
-        8: -0.22113666853125306036270938578e+2,
-        9: 0.77334326684722638389603898808e+1,
-        10: -0.30674084731089398182061213626e+2,
-        11: -0.93321305264302278729567221706e+1,
-        12: 0.15697238121770843886131091075e+2,
-        13: -0.31139403219565177677282850411e+2,
-        14: -0.93529243588444783865713862664e+1,
-        15: 0.35816841486394083752465898540e+2},
-    2: {0: 0.19985053242002433820987653617e+2,
-        5: -0.38703730874935176555105901742e+3,
-        6: -0.18917813819516756882830838328e+3,
-        7: 0.52780815920542364900561016686e+3,
-        8: -0.11573902539959630126141871134e+2,
-        9: 0.68812326946963000169666922661e+1,
-        10: -0.10006050966910838403183860980e+1,
-        11: 0.77771377980534432092869265740,
-        12: -0.27782057523535084065932004339e+1,
-        13: -0.60196695231264120758267380846e+2,
-        14: 0.84320405506677161018159903784e+2,
-        15: 0.11992291136182789328035130030e+2},
-    3: {0: -0.25693933462703749003312586129e+2,
-        5: -0.15418974869023643374053993627e+3,
-        6: -0.23152937917604549567536039109e+3,
-        7: 0.35763911791061412378285349910e+3,
-        8: 0.93405324183624310003907691704e+2,
-        9: -0.37458323136451633156875139351e+2,
-        10: 0.10409964950896230045147246184e+3,
-        11: 0.29840293426660503123344363579e+2,
-        12: -0.43533456590011143754432175058e+2,
-        13: 0.96324553959188282948394950600e+2,
-        14: -0.39177261675615439165231486172e+2,
-        15: -0.14972683625798562581422125276e+3},
-})
-
 #: step-size controller: the safety factor and the bounds on one change
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -468,14 +392,13 @@ class _StageDOP853:
     """DOP853 for y' = stage(coeff(t), y), where the coefficient depends on
     t alone: each attempted step evaluates ``coeff`` once, at all twelve
     of its stage abscissae, then combines the stages in plain Python
-    floats.  The scalar ``fun`` (the same right-hand side) gives f0, the
-    initial-step probe and the dense output's extra stages, one point at
-    a time.  It takes as many steps as stock DOP853 on ``fun``, for the
-    same ``nfev``, and ends within the ODE tolerance of it, but not bit
-    for bit: numpy may fuse multiply-adds that Python rounds twice, and
-    the error estimate's cancellation carries that into the step sizes.
-    ``_solve`` hands it a ``coeff`` that takes V_S from inside the
-    segment.
+    floats.  The scalar ``fun`` (the same right-hand side) gives f0 and
+    the initial-step probe, one point at a time.  It takes as many steps
+    as stock DOP853 on ``fun``, for the same ``nfev``, and ends within the
+    ODE tolerance of it, but not bit for bit: numpy may fuse multiply-adds
+    that Python rounds twice, and the error estimate's cancellation
+    carries that into the step sizes.  ``_solve`` hands it a ``coeff``
+    that takes V_S from inside the segment.
     """
 
     #: stage abscissae of a step, in units of h from its start
@@ -501,12 +424,7 @@ class _StageDOP853:
         self.nfev = 0
         self.f = self._eval(t0, self.y)
         self.h_abs = self._initial_step()
-        # the 13 stages of a step (f at its end last), then the dense
-        # output's three
-        self.K_extended = np.empty((16, self.n), dtype=self.dtype)
-        self.K = self.K_extended[:N_STAGES + 1]
         self.status = "running"
-        self.t_old = self.y_old = self.h_previous = None
 
     def _eval(self, t, y):
         """``fun`` at one point, counted in ``nfev``."""
@@ -541,15 +459,12 @@ class _StageDOP853:
         """One accepted step; ``status`` becomes "finished" at ``t_bound``,
         or "failed" with the reason returned."""
         if self.t == self.t_bound:
-            self.t_old = self.t
             self.status = "finished"
             return None
-        t = self.t
         success, message = self._step_impl()
         if not success:
             self.status = "failed"
             return message
-        self.t_old = t
         if self.direction * (self.t - self.t_bound) >= 0:
             self.status = "finished"
         return None
@@ -560,7 +475,7 @@ class _StageDOP853:
 
     def _rk_step(self, t, y, h):
         """One step of size h from the list state y: (y_new, stages), with
-        the 13 stage rows as lists, also written into ``self.K``."""
+        the 13 stage rows as lists."""
         q = self.coeff(t + self.NODES * h).tolist()
         stage = self.stage
         comps = range(self.n)
@@ -580,7 +495,6 @@ class _StageDOP853:
                 acc += K[j][i] * w
             y_new.append(y[i] + h * acc)
         K.append(stage(q[-1], y_new))
-        self.K[:] = K
         self.nfev += N_STAGES
         return y_new, K
 
@@ -646,34 +560,11 @@ class _StageDOP853:
                              SAFETY * error_norm ** ERROR_EXPONENT)
                 step_rejected = True
 
-        self.h_previous = h
-        self.y_old = self.y
         self.t = t_new
         self.y = np.array(y_new, dtype=self.dtype)
         self.h_abs = h_abs
         self.f = np.array(K[-1], dtype=self.dtype)
         return True, None
-
-    def dense_output(self):
-        """The interpolant of the last step: the three extra stages, then
-        the seven coefficients of DOP853's dense output."""
-        if self.t == self.t_old:
-            # no step was taken: the state itself
-            return _DenseStep(self.t_old, self.t, self.y,
-                              np.zeros((7, self.n), dtype=self.dtype))
-        K = self.K_extended
-        h = self.h_previous
-        for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self._eval(self.t_old + c * h, self.y_old + dy)
-        F = np.empty((7, self.n), dtype=self.dtype)
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
-        return _DenseStep(self.t_old, self.t, self.y_old, F)
 
 
 class _GridDOP853(_StageDOP853):
@@ -690,6 +581,8 @@ class _GridDOP853(_StageDOP853):
 
     def __init__(self, fun, t0, y0, t_bound, *, riccati=0, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
+        # the 13 stages of a step, f at its end last
+        self.K = np.empty((N_STAGES + 1, self.n), dtype=self.dtype)
         pairs = (self.n - riccati) // 2
         self.split = (riccati, riccati + pairs)
         # each wavenumber's number of components
@@ -734,85 +627,36 @@ class _GridDOP853(_StageDOP853):
         return abs(h) * float(norms.max())
 
 
-class _DenseStep:
-    """DOP853's interpolant over one step from t_old to t."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = (t - t_old) or 1.0  # a step of no length: y_old throughout
-        self.y_old = y_old
-        self.F = F
-
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
-
-
-class _DenseSolution:
-    """The steps' interpolants over a whole solve, callable at one t.  A t
-    on a step boundary takes the step that comes first in increasing t; a
-    t outside the span takes the nearest end step."""
-
-    def __init__(self, ts, steps):
-        self.steps = steps
-        self.ascending = ts[-1] >= ts[0]
-        self.ts_sorted = ts if self.ascending else ts[::-1]
-        self.side = "left" if self.ascending else "right"
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-        last = len(self.steps) - 1
-        segment = min(max(ind - 1, 0), last)
-        if not self.ascending:
-            segment = last - segment
-        return self.steps[segment](t)
-
-
 @dataclass
 class _Solve:
     """What ``solve_ivp`` returns: the accepted times and states (one
-    column per time), the right-hand-side evaluations, whether and why
-    the solve ended, and the dense solution (None unless asked for)."""
+    column per time), the right-hand-side evaluations, and whether and
+    why the solve ended."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
     success: bool
     message: str
-    sol: Optional[_DenseSolution]
 
 
-def solve_ivp(fun, t_span, y0, method=_StageDOP853, dense_output=False,
-              **options):
+def solve_ivp(fun, t_span, y0, method=_StageDOP853, **options):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] by ``method``
     (_StageDOP853 or _GridDOP853, which take their ``coeff``, ``stage``,
     ``rtol`` and ``atol`` from ``options``), stepping until the end is
     reached or a step fails."""
     t0, tf = map(float, t_span)
     solver = method(fun, t0, y0, tf, **options)
-    ts, ys, steps = [t0], [solver.y], []
+    ts, ys = [t0], [solver.y]
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             break
         ts.append(solver.t)
         ys.append(solver.y)
-        if dense_output:
-            steps.append(solver.dense_output())
     success = solver.status == "finished"
-    ts = np.array(ts)
-    return _Solve(t=ts, y=np.vstack(ys).T, nfev=solver.nfev, success=success,
-                  message=REACHED_END if success else message,
-                  sol=_DenseSolution(ts, steps) if dense_output else None)
+    return _Solve(t=np.array(ts), y=np.vstack(ys).T, nfev=solver.nfev,
+                  success=success, message=REACHED_END if success else message)
 
 
 def _riccati(q, u):
@@ -850,8 +694,8 @@ def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
     fails.
 
     ``coeff`` is taken one ulp inside the span: a segment ends at a
-    breakpoint of V_S, and a step's last node (and f0, and dense output)
-    would otherwise take V_S from across the discontinuity."""
+    breakpoint of V_S, and a step's last node (and f0) would otherwise
+    take V_S from across the discontinuity."""
     lo, hi = sorted((math.nextafter(span[0], span[1]),
                      math.nextafter(span[1], span[0])))
 
@@ -1036,9 +880,11 @@ def _wronskian(left_rec, right_rec):
     return (lp * rq - lq * rp), ls + rs
 
 
-def _physical_k(k, cfg):
+def _physical_k(model, k, cfg):
     """(k, epsilon used): k on the physical sheet, a real k promoted to
-    k + i*epsilon."""
+    k + i*epsilon.  A real k whose square is a finite limit of V_S is
+    refused: there the outer solution has no wavenumber left, and its
+    boundary data and the sample are meaningless."""
     if k == 0:
         raise WronskianDegenerate("k = 0 is the expansion point, not a sample")
     k = complex(k)
@@ -1048,6 +894,12 @@ def _physical_k(k, cfg):
     if k.imag < 0:
         raise UnsupportedAsymptotics("Im k < 0 is outside the physical sheet")
     if k.imag == 0:
+        for end, limit in (("-infinity", model.vs_limit_left),
+                           ("+infinity", model.vs_limit_right)):
+            if k.real * k.real == limit:
+                raise UnsupportedAsymptotics(
+                    f"real k = {k.real:g} is at the threshold "
+                    f"k^2 = V_S({end}) = {limit:g}")
         eps_used = cfg.epsilon_imag
         k = complex(k.real, eps_used)
     return k, eps_used
@@ -1136,7 +988,7 @@ def _solve_grid(model, x, y, ks, cfg):
     setups, error = [], None
     for k in ks:
         try:
-            k, eps_used = _physical_k(k, cfg)
+            k, eps_used = _physical_k(model, k, cfg)
             setups.append((k, eps_used) + span.cutoffs(model, k * k, cfg))
         except LowkGreenError as exc:
             error = exc
@@ -1297,63 +1149,118 @@ def _zero_mode_cutoff(model, side: str) -> float:
     raise NonconvergedODE(f"V_S does not approach zero toward {side}")
 
 
-def zero_energy_modes(model: PotentialModel, cfg: SolverConfig = SolverConfig()):
+#: the double integral from t = -1 at the Lobatto nodes
+_CUMULATIVE2 = CUMULATIVE @ CUMULATIVE
+
+
+class ZeroMode:
+    """A zero-energy solution: psi and psi' on Chebyshev panels inside
+    (lo, hi), and from each end outward, where V_S vanishes, the straight
+    line through that end's (psi, psi'), so that the normalized end reads
+    (1, 0) exactly."""
+
+    def __init__(self, psi: PiecewiseChebFun, dpsi: PiecewiseChebFun,
+                 lo_end, hi_end):
+        self.psi, self.dpsi = psi, dpsi
+        self.lo, self.hi = psi.lo, psi.hi
+        self.lo_end, self.hi_end = lo_end, hi_end
+
+    def __call__(self, z):
+        """psi at z, a float or an array."""
+        z = np.asarray(z, dtype=float)
+        (p0, d0), (p1, d1) = self.lo_end, self.hi_end
+        return self._read(self.psi, z, p0 + d0 * (z - self.lo),
+                          p1 + d1 * (z - self.hi))
+
+    def slope(self, z):
+        """psi' at z, a float or an array."""
+        z = np.asarray(z, dtype=float)
+        return self._read(self.dpsi, z, self.lo_end[1], self.hi_end[1])
+
+    def _read(self, fun, z, below, above):
+        out = np.where(z <= self.lo, below,
+                       np.where(z >= self.hi, above, fun(z)))
+        return float(out) if z.ndim == 0 else out
+
+
+def _zero_mode_panel(model, a, b, psi_a, dpsi_a):
+    """psi and psi' at the Lobatto nodes of the panel from a to b (t = -1
+    at a), from their values at a.
+
+    psi'' = V_S psi is the Volterra equation
+    psi(z) = psi_a + psi'_a (z - a) + integral_a^z (z - s) V_S(s) psi(s) ds,
+    and on the nodes the double integral is h^2 Q^2 with h = (b - a)/2, so
+    psi is one linear solve (Greengard, SIAM J. Numer. Anal. 28, 1991).
+    V_S is taken one ulp inside the panel, as ``_solve`` takes it."""
+    h = 0.5 * (b - a)
+    t1 = _NODES + 1.0
+    lo, hi = sorted((math.nextafter(a, b), math.nextafter(b, a)))
+    vs = model.VS(np.clip(a + h * t1, lo, hi))
+    psi = np.linalg.solve(np.eye(t1.size) - (h * h) * _CUMULATIVE2 * vs,
+                          psi_a + dpsi_a * h * t1)
+    return psi, dpsi_a + h * (CUMULATIVE @ (vs * psi))
+
+
+def _zero_mode(model, start, end, stops, jumps, cfg) -> ZeroMode:
+    """The zero-energy solution with (psi, psi') = (1, 0) at ``start``,
+    marched to ``end`` through ``stops`` (in march order), psi' jumping by
+    a delta's weight times psi where one is crossed.
+
+    From each stop the first panel reaches the next stop; a panel is
+    halved while the trailing Chebyshev coefficients of psi or of psi'
+    exceed ``cfg.rel_tol`` times that function's largest, the tail test of
+    ``build_chebfun``, and one that fails at ``cfg.max_depth`` raises
+    ToleranceNotMet.  psi' is tested too because the drift psi'/psi is
+    read from its panels."""
+    step = 1 if end > start else -1
+    here, psi_a, dpsi_a = start, 1.0, 0.0
+    edges, psis, dpsis = [start], [], []
+    for target in stops + [end]:
+        # the ends still to reach from here, with their depths, nearest last
+        pending = [(target, 0)]
+        while pending:
+            b, depth = pending[-1]
+            psi, dpsi = _zero_mode_panel(model, here, b, psi_a, dpsi_a)
+            coef = np.abs(cheb_coeffs(np.array([psi, dpsi])))
+            if not np.all(np.max(coef[:, -2:], axis=1)
+                          <= cfg.rel_tol * np.max(coef, axis=1)):
+                if depth == cfg.max_depth:
+                    raise ToleranceNotMet(
+                        f"zero-energy solution unresolved at depth {depth} "
+                        f"on [{min(here, b):g}, {max(here, b):g}]")
+                pending[-1] = (b, depth + 1)
+                pending.append((0.5 * (here + b), depth + 1))
+                continue
+            pending.pop()
+            edges.append(b)
+            # node values in increasing z, as PiecewiseChebFun holds them
+            psis.append(psi[::step])
+            dpsis.append(dpsi[::step])
+            here, psi_a, dpsi_a = b, psi[0], dpsi[0]
+        if here in jumps:
+            dpsi_a += step * jumps[here] * psi_a
+    ends = ((1.0, 0.0), (float(psi_a), float(dpsi_a)))[::step]
+    edges, psis, dpsis = edges[::step], psis[::step], dpsis[::step]
+    return ZeroMode(PiecewiseChebFun(edges, cheb_coeffs(np.array(psis))),
+                    PiecewiseChebFun(edges, cheb_coeffs(np.array(dpsis))),
+                    *ends)
+
+
+def zero_energy_modes(model: PotentialModel,
+                      cfg: QuadratureConfig = QuadratureConfig()):
     """(psi_minus, psi_plus, wronskian): the k = 0 solutions normalized to 1
-    at -infinity and +infinity respectively, evaluable anywhere."""
+    at -infinity and +infinity respectively, as ZeroMode, solved on
+    Chebyshev panels between the cutoffs to ``cfg.rel_tol``."""
     x_r = _zero_mode_cutoff(model, "right")
     x_l = _zero_mode_cutoff(model, "left")
-    jump_map = {d.x0: d.delta_weight for d in model.discontinuities
-                if d.delta_weight != 0.0}
+    jumps = {d.x0: d.delta_weight for d in model.discontinuities
+             if d.delta_weight != 0.0}
     interior = sorted(b for b in set(model.breakpoints) if x_l < b < x_r)
-
-    def build(start, end):
-        stops = interior if start < end else list(reversed(interior))
-        segs = []
-        here, state = start, np.array([1.0, 0.0])
-        for target in stops + [end]:
-            res = _solve(model.VS, _linear, (here, target), state, cfg,
-                         dense_output=True)
-            segs.append((min(here, target), max(here, target), res.sol))
-            state = np.array([res.y[0][-1], res.y[1][-1]])
-            here = target
-            if here in jump_map:
-                w = jump_map[here]
-                state[1] += (w if start < end else -w) * state[0]
-        return segs, state
-
-    segs_minus, end_minus = build(x_l, x_r)
-    segs_plus, end_plus = build(x_r, x_l)
-
-    def make_eval(segs, start, start_state, end, end_state):
-        def value_and_slope(z):
-            if (z - start) * (end - start) <= 0:  # beyond the start side
-                return start_state[0] + start_state[1] * (z - start), start_state[1]
-            if (z - end) * (end - start) >= 0:
-                return end_state[0] + end_state[1] * (z - end), end_state[1]
-            for a, b, s in segs:
-                if a <= z <= b:
-                    v = s(z)
-                    return v[0], v[1]
-            raise AssertionError("unreachable")
-
-        return value_and_slope
-
-    pm = make_eval(segs_minus, x_l, np.array([1.0, 0.0]), x_r, end_minus)
-    pp = make_eval(segs_plus, x_r, np.array([1.0, 0.0]), x_l, end_plus)
+    pm = _zero_mode(model, x_l, x_r, interior, jumps, cfg)
+    pp = _zero_mode(model, x_r, x_l, interior[::-1], jumps, cfg)
     zm = 0.5 * (x_l + x_r)
-    vm, dm = pm(zm)
-    vp, dp = pp(zm)
-    wr = vm * dp - dm * vp
-
-    def psi_minus(z):
-        return pm(float(z))[0]
-
-    def psi_plus(z):
-        return pp(float(z))[0]
-
-    psi_minus.value_and_slope = pm
-    psi_plus.value_and_slope = pp
-    return psi_minus, psi_plus, float(wr)
+    wr = pm(zm) * pp.slope(zm) - pm.slope(zm) * pp(zm)
+    return pm, pp, wr
 
 
 # -- truncation-error scaling -------------------------------------------------------
@@ -1364,7 +1271,6 @@ def remainder_scaling_fit(model: PotentialModel, x: float, y: float, N: int,
                           quad_cfg=None):
     """Least-squares slope of log|G_exact - truncated sum| against log k."""
     from .assembler import green_series
-    from .brackets import QuadratureConfig
 
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size < 3:

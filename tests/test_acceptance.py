@@ -204,7 +204,7 @@ def test_criterion_08_barrier_example():
             s = green_exact(bar, xx, -0.7, k, SCFG)
             want = green_closed_ex6(xx, -0.7, s.k, a)
             worst_g = max(worst_g, abs(s.value / want - 1))
-    pm, _, _ = zero_energy_modes(bar, SCFG)
+    pm, _, _ = zero_energy_modes(bar, TIGHT)
     c1 = math.cosh(2 * a) - a * math.sinh(2 * a)
     c2 = a * math.sinh(2 * a)
     worst_psi = max(abs(pm(0.3) / math.cosh(a * 1.3) - 1),

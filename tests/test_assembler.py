@@ -340,6 +340,23 @@ class TestGenericRoute:
         with pytest.raises(NegativeZeroMode):
             generic_expansion(well, 0.5, -0.5, 0, CFG)
 
+    def test_printed_forms_to_rounding(self):
+        # the barrier's zero-energy solutions are polynomial-exact on one
+        # panel each, so the printed forms hold to rounding
+        r = generic_expansion(catalog("barrier", a=1.0), 0.5, -0.3, 1, CFG)
+        assert r.diagnostics["g0_closed_residual"] <= 1e-13
+        assert r.diagnostics["g1_closed_residual"] <= 1e-13
+
+    def test_no_ode_solve(self, monkeypatch):
+        from lowkgreen import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the expansion ran the oracle's ODE driver")
+
+        monkeypatch.setattr(oracle, "solve_ivp", refuse)
+        for N in range(4):
+            generic_expansion(catalog("barrier", a=1.0), 0.5, -0.3, N, CFG)
+
     def test_generic_matches_oracle(self):
         # the order-1 truncation error is the order-2 term, |g2| ~ 0.1 here
         from lowkgreen.oracle import green_exact
@@ -348,6 +365,36 @@ class TestGenericRoute:
         for k in (0.05, 0.1):
             g = green_exact(bar, 0.5, -0.5, k)
             assert abs(r.truncated_sum(k) - g.value) < 0.3 * k ** 2
+
+
+def hermite_products(x, y, count):
+    """psi_n(x) psi_n(y) for n < count, from the Hermite functions'
+    three-term recurrence."""
+    a0 = math.pi ** -0.25 * math.exp(-x * x / 2)
+    b0 = math.pi ** -0.25 * math.exp(-y * y / 2)
+    a1, b1 = math.sqrt(2) * x * a0, math.sqrt(2) * y * b0
+    out = [a0 * b0, a1 * b1]
+    for n in range(1, count - 1):
+        c, d = math.sqrt(2 / (n + 1)), math.sqrt(n / (n + 1))
+        a0, a1 = a1, c * x * a1 - d * a0
+        b0, b1 = b1, c * y * b1 - d * b0
+        out.append(a1 * b1)
+    return np.array(out)
+
+
+class TestSpectralGate:
+    def test_parabolic_against_eigenfunction_sums(self):
+        # V_S = z^2 - 1 has E_n = 2n and the Hermite functions psi_n, so
+        # G = sum_n psi_n(x) psi_n(y) / (k^2 - E_n): g_-2 = -psi_0 psi_0 and
+        # g_2m = (-1)^(m+1) sum_{n>=1} psi_n psi_n / E_n^(m+1).  g_0 is left
+        # out: its sum converges too slowly without a tail correction
+        p = hermite_products(1.2, 1.0, 200_000)
+        E = 2.0 * np.arange(1, p.size)
+        r = green_series(catalog("parabolic"), 1.2, 1.0, 8, CFG)
+        assert abs(r.g.coeff(-2).real / -p[0] - 1) <= 1e-13
+        for m, tol in ((1, 1e-9), (2, 1e-10), (3, 1e-10), (4, 1e-10)):
+            want = (-1) ** (m + 1) * np.sum(p[1:] / E ** (m + 1))
+            assert abs(r.g.coeff(2 * m).real / want - 1) <= tol
 
 
 class TestHigherOrders:

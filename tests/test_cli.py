@@ -172,6 +172,18 @@ class TestCompare:
         assert resid[0] < 1e-4
         assert all(a < b for a, b in zip(resid, resid[1:]))
 
+    def test_sums_at_the_oracles_k(self, capsys):
+        # the README line's first row: the oracle samples k + i*epsilon,
+        # whose shift of G (2.7e-5 here) the sums now share, so the residual
+        # is the order-2 truncation error, about 2.9e-7
+        code, out, _ = run(capsys, "compare", "parabolic", "--x", "1.2",
+                           "--y", "1", "--order", "2", "--k-start", "0.05",
+                           "--k-stop", "1.2", "--k-count", "40")
+        assert code == 0
+        row = out.split("\n")[2].split(",")
+        assert float(row[0]) == 0.05
+        assert float(row[-1]) < 5e-7
+
     def test_log_form_columns(self, capsys):
         code, out, _ = run(capsys, "compare", "exponential", "--x", "0.5",
                            "--y", "0", "--order", "1", "--k-start", "0.3",
@@ -319,6 +331,13 @@ class TestOracle:
         want = np.exp(0.5j * 1.0) / (2j * 0.5)
         assert abs(float(row[1]) - want.real) < 1e-7
         assert abs(float(row[2]) - want.imag) < 1e-7
+
+
+    def test_threshold_k_exit_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "logcosh", "--k-start", "1",
+                             "--k-count", "1")
+        assert (code, out) == (2, "")
+        assert "real k = 1 is at the threshold" in err
 
 
 class TestFormats:

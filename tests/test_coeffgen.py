@@ -24,7 +24,7 @@ from lowkgreen.coeffgen import (
 )
 from lowkgreen.errors import BadParameter, ZeroLeadingCoefficient
 from lowkgreen.laurent import LaurentSeries, ls_invert
-from lowkgreen.oracle import SolverConfig, zero_energy_modes
+from lowkgreen.oracle import zero_energy_modes
 from lowkgreen.potential import (
     EndpointKind,
     catalog,
@@ -270,7 +270,7 @@ def _barrier_aux(side_of_one):
     """One of the generic route's auxiliary potentials for the barrier,
     built as ``generic_expansion`` builds it."""
     barrier = catalog("barrier", a=1.0)
-    psi_m, psi_p, _ = zero_energy_modes(barrier, SolverConfig())
+    psi_m, psi_p, _ = zero_energy_modes(barrier, CFG)
     psi = psi_m if side_of_one == "left" else psi_p
     return assembler._aux_model("barrier+aux", psi, tuple(barrier.discontinuities),
                                 side_of_one)
@@ -285,10 +285,7 @@ def _valid_top(model):
 BOTH = (Side.RIGHT, Side.LEFT)
 # (model, highest order, sides, tolerance).  The auxiliary potentials are
 # checked on the side the generic route reads, through the s-orders of its
-# N=6, and within the quadrature tolerance: V comes from the zero-energy
-# solutions' dense output, and the fits resolve it only to the requested
-# tolerance.  The reference's single order-1 term, fitted at rel_tol/2
-# where the recursion uses rel_tol/10, already differs by 2e-12 there.
+# N=6.
 RECURSION_CASES = [
     pytest.param(lambda: catalog("free"), 7, BOTH, 1e-12, id="free"),
     pytest.param(lambda: catalog("parabolic"), 7, BOTH, 1e-12, id="parabolic"),
@@ -304,9 +301,9 @@ RECURSION_CASES = [
     pytest.param(neg_exponential_model, 7, BOTH, 1e-12, id="neg-exponential"),
     # the only model here whose finite limits are not 0
     pytest.param(tanh_model, 7, BOTH, 1e-12, id="tanh"),
-    pytest.param(lambda: _barrier_aux("left"), 5, (Side.RIGHT,), CFG.rel_tol,
+    pytest.param(lambda: _barrier_aux("left"), 5, (Side.RIGHT,), 1e-12,
                  id="barrier-aux-down"),
-    pytest.param(lambda: _barrier_aux("right"), 5, (Side.LEFT,), CFG.rel_tol,
+    pytest.param(lambda: _barrier_aux("right"), 5, (Side.LEFT,), 1e-12,
                  id="barrier-aux-up"),
 ]
 
