@@ -494,7 +494,9 @@ def generic_expansion(model: PotentialModel, x: float, y: float, N: int,
     pts = np.array([x, y, 0.5 * (x + y)])
     vm, vp = psi_m(pts), psi_p(pts)
     dm, dp = psi_m.slope(pts), psi_p.slope(pts)
-    scale = abs(vm[2] * dp[2]) + abs(dm[2] * vp[2]) + abs(vm[2] * vp[2])
+    # the largest over the three points: where both solutions vanish at one
+    # of them, its scale is rounding noise, as |W| is
+    scale = float(np.max(np.abs(vm * dp) + np.abs(dm * vp) + np.abs(vm * vp)))
     if abs(wr) < 1e-8 * scale:
         raise ExceptionalCase(
             "zero-energy solutions are proportional; use the finite-limit "

@@ -61,8 +61,7 @@ def _quad_cfg(args) -> QuadratureConfig:
 
 
 def _solver_cfg(args) -> oracle.SolverConfig:
-    return oracle.SolverConfig(ode_rel_tol=args.ode_tol,
-                               epsilon_imag=args.epsilon_imag)
+    return oracle.SolverConfig(ode_rel_tol=args.ode_tol)
 
 
 def _case_comment(model, result=None):
@@ -183,8 +182,6 @@ def cmd_compare(args) -> int:
     cols += ["re_logform", "im_logform"] if p is not None else []
     cols += ["abs_residual"]
     rows = []
-    # the sums are taken at the k the oracle used (k + i*epsilon for a
-    # real k), the k column keeps the requested one
     for k, sample in zip(ks, exact):
         g, k_used = sample.value, sample.k
         row = [k, g.real, g.imag]
@@ -278,8 +275,6 @@ def _add_common(p):
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-14)
     p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-14)
     p.add_argument("--ode-tol", dest="ode_tol", type=float, default=1e-10)
-    p.add_argument("--epsilon-imag", dest="epsilon_imag", type=float,
-                   default=1e-8)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None,

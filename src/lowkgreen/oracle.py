@@ -29,7 +29,8 @@ the grid of one k.  Only the stepper depends on the number of k active in
 a segment: one k combines its stages in plain Python floats, several
 combine theirs with numpy.
 
-A real k whose square is a finite limit of V_S (a threshold) is refused.
+A real k is solved as it is, on the real axis; one whose square is a
+finite limit of V_S (a threshold) is refused.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
@@ -43,11 +44,10 @@ quadrature tolerance.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -74,6 +74,12 @@ class GreenSample:
     value: complex
 
 
+#: the ODE's absolute tolerance
+ODE_ABS_TOL = 1e-13
+#: points from y to x at which the two sides' Wronskian is compared
+CHECK_POINTS = 5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     cutoff_left: Optional[float] = None
@@ -81,26 +87,20 @@ class SolverConfig:
     # a positive ode_rel_tol below RTOL_FLOOR (100 machine epsilons) is
     # taken as RTOL_FLOOR
     ode_rel_tol: float = 1e-10
-    ode_abs_tol: float = 1e-13
-    epsilon_imag: float = 1e-8
     boundary_tol: float = 1e-9
-    verify_epsilon: bool = False
-    check_points: int = 5
+    #: not a field: a real k is solved on the real axis.  bench/gate.py
+    #: reads it; the benchmark's next revision (ROADMAP item 7) drops the
+    #: read and this constant
+    epsilon_imag: ClassVar[float] = 0.0
 
     def __post_init__(self):
         # NaN fails every comparison, so it must not pass as in range: a
-        # NaN tolerance makes the step size NaN, and a negative epsilon
-        # moves a real k off the physical sheet
+        # NaN tolerance makes the step size NaN
         for name in ("ode_rel_tol", "boundary_tol"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise InvalidSpec(
                     f"{name} must be finite and positive (got {value})")
-        for name in ("ode_abs_tol", "epsilon_imag"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise InvalidSpec(
-                    f"{name} must be finite and non-negative (got {value})")
 
 
 # -- boundary data -------------------------------------------------------------
@@ -706,7 +706,7 @@ def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
         return stage(inside(np.array([t]))[0], y)
 
     res = solve_ivp(fun, span, state, method=method, coeff=inside,
-                    stage=stage, rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
+                    stage=stage, rtol=cfg.ode_rel_tol, atol=ODE_ABS_TOL,
                     **options)
     if not res.success:
         raise NonconvergedODE(res.message)
@@ -738,13 +738,13 @@ class _Span:
     ends, the Wronskian check points, V_S's breakpoints and delta weights,
     and the stops of an integration."""
 
-    def __init__(self, model, x, y, cfg):
+    def __init__(self, model, x, y):
         check_positions(x, y)
         self.xi, self.yi = xi, yi = (x, y) if x >= y else (y, x)
         self.jump_map = {d.x0: d.delta_weight for d in model.discontinuities
                          if d.delta_weight != 0.0}
         self.breaks = breaks = sorted(set(model.breakpoints))
-        checks = [float(c) for c in np.linspace(yi, xi, cfg.check_points)] \
+        checks = [float(c) for c in np.linspace(yi, xi, CHECK_POINTS)] \
             if xi > yi else [yi]
         # consistent one-sided derivatives at the record points
         self.checks = [c + 1e-9 if c in breaks else c for c in checks]
@@ -880,17 +880,16 @@ def _wronskian(left_rec, right_rec):
     return (lp * rq - lq * rp), ls + rs
 
 
-def _physical_k(model, k, cfg):
-    """(k, epsilon used): k on the physical sheet, a real k promoted to
-    k + i*epsilon.  A real k whose square is a finite limit of V_S is
-    refused: there the outer solution has no wavenumber left, and its
-    boundary data and the sample are meaningless."""
+def _physical_k(model, k):
+    """k as a complex number on the physical sheet; a real k stays on the
+    real axis.  A real k whose square is a finite limit of V_S is refused:
+    there the outer solution has no wavenumber left, and its boundary data
+    and the sample are meaningless."""
     if k == 0:
         raise WronskianDegenerate("k = 0 is the expansion point, not a sample")
     k = complex(k)
     if not cmath.isfinite(k):
         raise InvalidSpec(f"wavenumbers must be finite (k={k})")
-    eps_used = 0.0
     if k.imag < 0:
         raise UnsupportedAsymptotics("Im k < 0 is outside the physical sheet")
     if k.imag == 0:
@@ -900,12 +899,10 @@ def _physical_k(model, k, cfg):
                 raise UnsupportedAsymptotics(
                     f"real k = {k.real:g} is at the threshold "
                     f"k^2 = V_S({end}) = {limit:g}")
-        eps_used = cfg.epsilon_imag
-        k = complex(k.real, eps_used)
-    return k, eps_used
+    return k
 
 
-def _green_from(span, x, y, k, eps_used, left, right, left_end, right_end):
+def _green_from(span, x, y, k, left, right, left_end, right_end):
     """(sample, diagnostics) from the two sides' solutions at the span's
     record points and the ends they started from; raises
     WronskianDegenerate where they are nearly proportional."""
@@ -938,7 +935,6 @@ def _green_from(span, x, y, k, eps_used, left, right, left_end, right_end):
 
     diag = {
         "k_effective": k,
-        "epsilon_imag": eps_used,
         "cutoff_left": left_end[0],
         "cutoff_right": right_end[0],
         "boundary_error_left": left_end[3],
@@ -984,18 +980,18 @@ def _grid_reports(model, x, y, ks, cfg):
 def _solve_grid(model, x, y, ks, cfg):
     """(reports, error) as ``_each_k`` gives them, with the wavenumbers
     ``ks`` integrated as one system per side."""
-    span = _Span(model, x, y, cfg)
+    span = _Span(model, x, y)
     setups, error = [], None
     for k in ks:
         try:
-            k, eps_used = _physical_k(model, k, cfg)
-            setups.append((k, eps_used) + span.cutoffs(model, k * k, cfg))
+            k = _physical_k(model, k)
+            setups.append((k,) + span.cutoffs(model, k * k, cfg))
         except LowkGreenError as exc:
             error = exc
             break
     if not setups:
         return [], error
-    k_used, eps_used, left_ends, right_ends = zip(*setups)
+    k_used, left_ends, right_ends = zip(*setups)
     k2s = [k * k for k in k_used]
     try:
         rights = _integrate_grid_side(model, k2s, right_ends, span,
@@ -1009,35 +1005,13 @@ def _solve_grid(model, x, y, ks, cfg):
         reports, failed = _each_k(model, x, y, ks[:len(setups)], cfg)
         return reports, failed or error
     reports = []
-    for k, eps, left_end, right_end, left, right in zip(
-            k_used, eps_used, left_ends, right_ends, lefts, rights):
+    for k, left_end, right_end, left, right in zip(
+            k_used, left_ends, right_ends, lefts, rights):
         try:
-            reports.append(_green_from(span, x, y, k, eps, left, right,
+            reports.append(_green_from(span, x, y, k, left, right,
                                        left_end, right_end))
         except WronskianDegenerate as exc:
             return reports, exc
-    return reports, error
-
-
-def _verified_grid(model, x, y, ks, cfg):
-    """(reports, error) for ks in grid order, with ``verify_epsilon``'s
-    repeat at epsilon/10 for every real k that was solved."""
-    reports, error = _grid_reports(model, x, y, ks, cfg)
-    if not cfg.verify_epsilon:
-        return reports, error
-    real = [i for i in range(len(reports)) if complex(ks[i]).imag == 0]
-    tighter = dataclasses.replace(cfg, epsilon_imag=cfg.epsilon_imag / 10,
-                                  verify_epsilon=False)
-    again, again_error = _grid_reports(model, x, y, [ks[i] for i in real],
-                                       tighter)
-    for j, i in enumerate(real):
-        if j == len(again):
-            return reports[:i], again_error
-        value = reports[i][0].value
-        rel = abs(value - again[j][0].value) / max(abs(value), 1e-300)
-        if rel > 1e-6:
-            return reports[:i], WronskianDegenerate(
-                f"epsilon sensitivity {rel:.2e}: k is too close to a pole")
     return reports, error
 
 
@@ -1045,9 +1019,10 @@ def green_exact(model: PotentialModel, x: float, y: float, k,
                 cfg: SolverConfig = SolverConfig()) -> GreenSample:
     """Exact Green function sample by two-sided integration.
 
-    Real k is promoted to k + i*epsilon; ``verify_epsilon`` repeats the
-    computation at epsilon/10 and raises when the two disagree (which
-    signals a nearby pole or an unresolved limit).
+    A real k is solved on the real axis; G(k + i*epsilon) is the sample at
+    the complex k.  At or next to a pole of G, such as a bound state, the
+    two sides' solutions are nearly proportional and WronskianDegenerate
+    is raised.
     """
     return green_exact_report(model, x, y, k, cfg)[0]
 
@@ -1058,9 +1033,8 @@ def green_exact_report(model, x, y, k, cfg: SolverConfig = SolverConfig()):
 
 
 def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
-    """[(sample, diagnostics)] over the wavenumbers ``ks``, with
-    green_exact's ``verify_epsilon`` check, raising what the per-k loop of
-    green_exact would raise first.
+    """[(sample, diagnostics)] over the wavenumbers ``ks``, raising what
+    the per-k loop of green_exact would raise first.
 
     The wavenumbers are integrated by one sweep per side, inward from the
     outermost cutoff: each k enters at its own cutoff, carrying only its
@@ -1071,7 +1045,7 @@ def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
     of its single sample, and ``rhs_evals`` counts the evaluations of
     every solve that k took part in.
     """
-    reports, error = _verified_grid(model, x, y, ks, cfg)
+    reports, error = _grid_reports(model, x, y, ks, cfg)
     if error is not None:
         raise error
     return reports
@@ -1110,16 +1084,23 @@ def bessel_j(nu: float, z) -> complex:
 
 def green_closed_ex6(x: float, y: float, k, a: float) -> complex:
     """Exact Green function of the square barrier of height a^2 on |z| < 1,
-    for -1 < y <= x < 1."""
+    for -1 < y <= x < 1.
+
+    With p = sqrt(a^2 - k^2) and S(t) = sinh(pt)/p, which is t at p = 0,
+    G = -[cosh pA - ik S(A)][cosh pB - ik S(B)]
+        / [(p^2 - k^2) S(2) - 2ik cosh 2p], A = 1 - x, B = 1 + y,
+    finite at k = a."""
     k = complex(k)
     p = cmath.sqrt(a * a - k * k)
-    num = (((p - 1j * k) * cmath.exp(p * (1 - x))
-            + (p + 1j * k) * cmath.exp(-p * (1 - x)))
-           * ((p + 1j * k) * cmath.exp(-p * (1 + y))
-              + (p - 1j * k) * cmath.exp(p * (1 + y))))
-    den = -4.0 * p * ((p * p - k * k) * cmath.sinh(2 * p)
-                      - 2j * p * k * cmath.cosh(2 * p))
-    return num / den
+
+    def sinh_over_p(t):
+        return cmath.sinh(p * t) / p if p else t
+
+    def edge(t):
+        return cmath.cosh(p * t) - 1j * k * sinh_over_p(t)
+
+    den = (p * p - k * k) * sinh_over_p(2) - 2j * k * cmath.cosh(2 * p)
+    return -edge(1 - x) * edge(1 + y) / den
 
 
 def green_closed_ex5(x: float, y: float, k, alpha: float) -> complex:
@@ -1277,7 +1258,7 @@ def remainder_scaling_fit(model: PotentialModel, x: float, y: float, N: int,
         raise DegenerateFit("need at least three k points")
     res = green_series(model, x, y, N,
                        quad_cfg if quad_cfg is not None else QuadratureConfig())
-    reports, error = _verified_grid(model, x, y, k_grid, cfg)
+    reports, error = _grid_reports(model, x, y, k_grid, cfg)
     resid = []
     for k, (sample, _) in zip(k_grid, reports):
         approx = res.g.evaluate(1j * sample.k)

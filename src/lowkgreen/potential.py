@@ -109,7 +109,6 @@ class PotentialModel:
     vs_zero_below: Optional[float] = None
     vs_zero_above: Optional[float] = None
     vs_defined_only: bool = False
-    no_bound_states: bool = False
 
     def V(self, z):
         if self.eval_V is None:
@@ -237,7 +236,6 @@ def _free():
         id="free", left=end(), right=end(),
         eval_V=zero, eval_f=zero, eval_VS=zero,
         vs_zero_below=math.inf, vs_zero_above=-math.inf,
-        no_bound_states=True,
     )
 
 
@@ -340,7 +338,6 @@ def _logstep(alpha: float):
         params={"alpha": alpha},
         vs_limit_left=0.0, vs_limit_right=0.0,
         vs_zero_below=1.0,
-        no_bound_states=True,
     )
 
 
@@ -361,7 +358,6 @@ def _barrier(a: float):
         vs_limit_left=0.0, vs_limit_right=0.0,
         vs_zero_below=-1.0, vs_zero_above=1.0,
         vs_defined_only=True,
-        no_bound_states=True,
     )
 
 

@@ -328,17 +328,30 @@ class TestGenericRoute:
         with pytest.raises(ExceptionalCase):
             generic_expansion(catalog("free"), 0.5, -0.5, 0, CFG)
 
+    @staticmethod
+    def sech2_well(depth):
+        """V_S = -depth sech^2 z."""
+        from lowkgreen.potential import PotentialModel
+        return PotentialModel(
+            id="sech2-well", left=None, right=None,
+            eval_VS=lambda z: -depth / np.cosh(np.asarray(z, float)) ** 2,
+            vs_limit_left=0.0, vs_limit_right=0.0, vs_defined_only=True)
+
     def test_bound_state_rejected_by_sign_change(self):
         # a well deep enough to bind makes the zero-energy solution cross
-        # zero, which the route must refuse
+        # zero, which the route must refuse; at l = 1.5 (depth l(l+1)) the
+        # two solutions are not proportional (W = -0.637)
         from lowkgreen.errors import NegativeZeroMode
-        from lowkgreen.potential import PotentialModel
-        well = PotentialModel(
-            id="deep-well", left=None, right=None,
-            eval_VS=lambda z: -2.0 / np.cosh(np.asarray(z, float)) ** 2,
-            vs_limit_left=0.0, vs_limit_right=0.0, vs_defined_only=True)
         with pytest.raises(NegativeZeroMode):
-            generic_expansion(well, 0.5, -0.5, 0, CFG)
+            generic_expansion(self.sech2_well(3.75), 0.5, -0.5, 0, CFG)
+
+    @pytest.mark.parametrize("x,y", [(0.5, -0.5), (0.9, 0.1)])
+    def test_proportional_wherever_the_midpoint_falls(self, x, y):
+        # the zero-energy solutions of -2 sech^2 z are -+tanh z; at
+        # (0.5, -0.5) the midpoint is their common zero, where the scale of
+        # the proportionality test is rounding noise, as |W| is
+        with pytest.raises(ExceptionalCase, match="proportional"):
+            generic_expansion(self.sech2_well(2.0), x, y, 0, CFG)
 
     def test_printed_forms_to_rounding(self):
         # the barrier's zero-energy solutions are polynomial-exact on one

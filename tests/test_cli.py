@@ -173,16 +173,18 @@ class TestCompare:
         assert all(a < b for a, b in zip(resid, resid[1:]))
 
     def test_sums_at_the_oracles_k(self, capsys):
-        # the README line's first row: the oracle samples k + i*epsilon,
-        # whose shift of G (2.7e-5 here) the sums now share, so the residual
-        # is the order-2 truncation error, about 2.9e-7
+        # the README line: the first row's residual is the order-2
+        # truncation error, about 2.9e-7, and parabolic's V_S is confining,
+        # so G is real at every real k
         code, out, _ = run(capsys, "compare", "parabolic", "--x", "1.2",
                            "--y", "1", "--order", "2", "--k-start", "0.05",
                            "--k-stop", "1.2", "--k-count", "40")
         assert code == 0
-        row = out.split("\n")[2].split(",")
-        assert float(row[0]) == 0.05
-        assert float(row[-1]) < 5e-7
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert float(rows[0][0]) == 0.05
+        assert float(rows[0][-1]) < 5e-7
+        assert len(rows) == 40
+        assert all(float(r[2]) == 0.0 for r in rows)
 
     def test_log_form_columns(self, capsys):
         code, out, _ = run(capsys, "compare", "exponential", "--x", "0.5",
@@ -278,7 +280,6 @@ class TestNonFiniteWavenumbers:
 class TestSolverOptions:
     @pytest.mark.parametrize("option,value", [
         ("--ode-tol", "nan"), ("--ode-tol", "-1e-10"), ("--ode-tol", "inf"),
-        ("--epsilon-imag", "-1e-8"), ("--epsilon-imag", "nan"),
     ])
     def test_exit_2(self, capsys, option, value):
         code, out, err = run(capsys, "oracle", "free", "--k-start", "0.3",
@@ -289,8 +290,6 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("option,value,message", [
         ("--ode-tol", "-1e-10", "ode_rel_tol must be finite and positive"),
-        ("--epsilon-imag", "-1e-8",
-         "epsilon_imag must be finite and non-negative"),
         ("--k-start", "-inf", "wavenumbers must be finite (--k-start -inf)"),
     ])
     def test_negative_value_as_its_own_token(self, capsys, option, value,
@@ -301,13 +300,6 @@ class TestSolverOptions:
         assert code == 2
         assert out == ""
         assert message in err
-
-    def test_zero_epsilon_allowed(self, capsys):
-        code, out, _ = run(capsys, "oracle", "free", "--x", "1.0", "--y", "0.0",
-                           "--k-start", "0.5", "--k-count", "1",
-                           "--epsilon-imag", "0")
-        assert code == 0
-        assert out
 
 
 class TestScaling:
@@ -338,6 +330,14 @@ class TestOracle:
                              "--k-count", "1")
         assert (code, out) == (2, "")
         assert "real k = 1 is at the threshold" in err
+
+    def test_bound_state_exit_3(self, capsys):
+        # k^2 = 4 is a bound state of parabolic: on the real axis the two
+        # sides' solutions are proportional, and the sample is refused
+        code, out, err = run(capsys, "oracle", "parabolic", "--x", "1.2",
+                             "--y", "1", "--k-start", "2", "--k-count", "1")
+        assert (code, out) == (3, "")
+        assert "nearly proportional" in err
 
 
 class TestFormats:
