@@ -176,7 +176,13 @@ def _find_cut(weight, anchor: float, direction: int, depth: int,
     def small(d):
         z = np.array([anchor + direction * d])
         w = abs(float(np.asarray(weight(z))[0]))
-        return w * (1.0 + abs(d)) ** (depth - 1) < tol * scale
+        try:
+            simplex = (1.0 + abs(d)) ** (depth - 1)
+        except OverflowError:
+            raise DivergentTail(
+                f"the depth-{depth} simplex factor overflows {d:.3g} from "
+                f"the anchor: the tail is too slow for the tolerance") from None
+        return w * simplex < tol * scale
 
     # Keep the cut as tight as the tolerance allows: over-deep cuts make the
     # intermediate cumulative functions underflow, and the junk that leaves

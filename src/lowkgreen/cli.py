@@ -344,7 +344,12 @@ def _apply_config_defaults(ap, argv):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    for sp in ap._subparsers._group_actions[0].choices.values():
+    subparsers = ap._subparsers._group_actions[0].choices.values()
+    dests = {action.dest for sp in subparsers for action in sp._actions}
+    unknown = [k for k in data if k.replace("-", "_") not in dests]
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    for sp in subparsers:
         sp.set_defaults(**{k.replace("-", "_"): v for k, v in data.items()})
 
 

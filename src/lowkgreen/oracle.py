@@ -1,44 +1,38 @@
 """Independent reference values for the Green function.
 
-The exact Green function is computed by integrating the second-order
-equation for complex wavenumber from both spatial ends: the solution
-decaying (or outgoing) at +infinity meets the one decaying at -infinity
-and their Wronskian normalizes the product.  Boundary data at the cutoff
-come from the phase-integral series of the decaying or outgoing ray's
-log-derivative, u_0 + u_1 + u_2 + u_3.  A decaying or finite-limit end is
-cut at the first rung of a geometric ladder where the first term the data
-leave out, |u_4/u_0|, is below ``boundary_tol``; where the computed terms do
-not decrease, the data stop at u_2 and |u_2/u_0| is the test.  Confining
-and zero-edge ends take the second-order data, u_0 + u_1 + u_2.  This keeps
-cutoffs modest even for slowly decaying tails.  On such tails only the
-log-derivative of the solution is integrated (one Riccati component) from
-the cutoff in to where the solution has structure.
-Every solve runs the module's own DOP853 driver, ``solve_ivp``: the
-Dormand-Prince 8(5,3) tableau, started by the Hairer-Norsett-Wanner
-initial-step formula and stepped under their step-size controller.  These
-are the tables, formulas and constants of scipy's
-``solve_ivp(method="DOP853")``, the reference the tests check the driver
-against; the package itself does not import scipy.  V_S is
-evaluated once per step at all of the step's stage abscissae, and it is
-taken from inside each segment, never from across the breakpoint a
-segment ends on.  Every request takes one path: a grid of k runs one
-sweep per side, inward from the outermost cutoff, which each k enters at
-its own cutoff (as its Riccati component where it has a switch point) and
-in which it becomes a linear pair at its switch point; a single sample is
-the grid of one k.  Only the stepper depends on the number of k active in
-a segment: one k combines its stages in plain Python floats, several
-combine theirs with numpy.
+The exact Green function is computed by solving the second-order equation
+psi'' = (V_S - k^2) psi for complex wavenumber from both spatial ends: the
+solution decaying (or outgoing) at +infinity meets the one decaying at
+-infinity and their Wronskian normalizes the product.  Boundary data at the
+cutoff come from the phase-integral series of the decaying or outgoing
+ray's log-derivative, u_0 + u_1 + u_2 + u_3.  A decaying or finite-limit
+end is cut at the first rung of a geometric ladder where the first term the
+data leave out, |u_4/u_0|, is below ``boundary_tol``; where the computed
+terms do not decrease, the data stop at u_2 and |u_2/u_0| is the test.
+Confining and zero-edge ends take the second-order data, u_0 + u_1 + u_2.
+This keeps cutoffs modest even for slowly decaying tails.
+
+Every solution, the oracle's and the zero-energy modes of the
+vanishing-potential route alike, comes from one march (``_march``): the
+equation is solved as a Volterra equation on 17-node Chebyshev panels by
+spectral integration (Greengard, SIAM J. Numer. Anal. 28, 1991), each panel
+one linear solve per wavenumber, and a panel is halved while the trailing
+Chebyshev coefficients of psi or psi' exceed the tolerance (the oracle's
+``ode_rel_tol``) times that function's largest.  V_S is evaluated once per
+panel attempt, at its nodes, for every wavenumber the panel carries, and it
+is taken from inside the panel, never from across the breakpoint a segment
+ends on.  Every request takes one path: a grid of k runs one sweep per
+side, inward from the outermost cutoff, which each k enters at its own
+cutoff; a single sample is the grid of one k.
 
 A real k is solved as it is, on the real axis; one whose square is a
 finite limit of V_S (a threshold) is refused.
 
 Also here: closed-form exact Green functions for the square-barrier and
 log-step catalog models, a direct ascending-series Bessel evaluation, the
-zero-energy solutions used by the vanishing-potential route, and the
-log-log fitter that measures how the truncation error scales with k.  The
-zero-energy solutions take no ODE step: psi'' = V_S psi is solved as a
-Volterra equation on Chebyshev panels, by spectral integration, to the
-quadrature tolerance.
+zero-energy solutions used by the vanishing-potential route (the march at
+k = 0, to the quadrature tolerance), and the log-log fitter that measures
+how the truncation error scales with k.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,8 +68,6 @@ class GreenSample:
     value: complex
 
 
-#: the ODE's absolute tolerance
-ODE_ABS_TOL = 1e-13
 #: points from y to x at which the two sides' Wronskian is compared
 CHECK_POINTS = 5
 
@@ -84,8 +76,8 @@ CHECK_POINTS = 5
 class SolverConfig:
     cutoff_left: Optional[float] = None
     cutoff_right: Optional[float] = None
-    # a positive ode_rel_tol below RTOL_FLOOR (100 machine epsilons) is
-    # taken as RTOL_FLOOR
+    # the march's panel tail tolerance; a positive ode_rel_tol below
+    # RTOL_FLOOR (100 machine epsilons) is taken as RTOL_FLOOR
     ode_rel_tol: float = 1e-10
     boundary_tol: float = 1e-9
     #: not a field: a real k is solved on the real axis.  bench/gate.py
@@ -95,7 +87,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, so it must not pass as in range: a
-        # NaN tolerance makes the step size NaN
+        # NaN tolerance halves every panel to the depth cap
         for name in ("ode_rel_tol", "boundary_tol"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
@@ -103,13 +95,15 @@ class SolverConfig:
                     f"{name} must be finite and positive (got {value})")
 
 
-# -- boundary data -------------------------------------------------------------
+#: the smallest panel tail tolerance, 100 machine epsilons: a smaller one
+#: is taken as this
+RTOL_FLOOR = 100 * sys.float_info.epsilon
+#: halvings of a sweep segment after which a panel that still fails the
+#: tail test is refused
+MAX_DEPTH = 40
 
-#: phase-integral quality (second-order correction over the leading term)
-#: below which the outgoing/decaying ray has no structure left to resolve:
-#: outward of the first ladder rung that reaches it, only the log-derivative
-#: of the solution is integrated
-RICCATI_SWITCH_QUALITY = 1e-2
+
+# -- boundary data -------------------------------------------------------------
 
 
 def _vs_derivs(model, z, h):
@@ -140,7 +134,7 @@ WIDE_STEP = sys.float_info.epsilon ** (1 / 6)
 def _phase_series(model, z: float, k2: complex, side: str):
     """The phase-integral log-derivative u_0 + u_1 + ... of the
     outgoing/decaying ray at z, in q = k^2 - V_S, as (second-order data,
-    |u_2/u_0|, boundary data, boundary error).
+    boundary data, boundary error).
 
     Where the computed terms decrease, |u_4| <= |u_3| <= |u_2|, the
     boundary data carry the series through u_3 and their error is the
@@ -167,16 +161,9 @@ def _phase_series(model, z: float, k2: complex, side: str):
     else:
         ld = -1j * s - qp / (4.0 * q) - 1j * corr
     lead = max(abs(s), 1e-300)
-    quality = abs(corr) / lead
     if abs(corr4) <= abs(u3) <= abs(corr):
-        return ld, quality, ld + u3, abs(corr4) / lead
-    return ld, quality, ld, quality
-
-
-def _phase_logderiv(model, z: float, k2: complex, side: str):
-    """(boundary data, boundary error) of ``_phase_series`` at z."""
-    _, _, ld, error = _phase_series(model, z, k2, side)
-    return ld, error
+        return ld, ld + u3, abs(corr4) / lead
+    return ld, ld, abs(corr) / lead
 
 
 #: steps of the confining march whose V_S values are taken in one call (the
@@ -207,10 +194,8 @@ def _confining_cutoff(model, start: float, k2: complex, side: str) -> float:
 
 def _auto_cutoff(model, inner: float, k2: complex, side: str,
                  cfg: SolverConfig):
-    """(cutoff, switch, boundary data, boundary error): where the outer
-    boundary data are imposed, the point inward of which the linear ODE
-    takes over from the Riccati tail (None where the whole side is
-    integrated linearly), the log-derivative imposed there, and the
+    """(cutoff, boundary data, boundary error): where the outer boundary
+    data are imposed, the log-derivative imposed there, and the
     phase-integral term it leaves out (None on confining and zero-edge
     ends, which impose the second-order data).
 
@@ -223,7 +208,7 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
         if vs_lim < 0:
             raise UnsupportedAsymptotics("V_S -> -infinity is outside scope")
         cut = _confining_cutoff(model, inner, k2, side)
-        return cut, None, _phase_series(model, cut, k2, side)[0], None
+        return cut, _phase_series(model, cut, k2, side)[0], None
     zero_edge = model.vs_zero_above if side == "right" else model.vs_zero_below
     if zero_edge is not None:
         if math.isinf(zero_edge):
@@ -233,497 +218,115 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
             cut = max(inner, zero_edge) + 0.5
         else:
             cut = min(inner, zero_edge) - 0.5
-        return cut, None, _phase_series(model, cut, k2, side)[0], None
+        return cut, _phase_series(model, cut, k2, side)[0], None
     x = inner + sgn * 1.0
-    switch = None
     for _ in range(200):
         q = k2 - vs_lim - (float(model.VS(np.array([x]))[0]) - vs_lim)
         if abs(q) > 0.2 * max(abs(k2 - vs_lim), 1e-12):
-            _, quality, ld, error = _phase_series(model, x, k2, side)
-            if switch is None and quality < RICCATI_SWITCH_QUALITY:
-                switch = x
+            _, ld, error = _phase_series(model, x, k2, side)
             if error < cfg.boundary_tol:
-                return x, (switch if switch != x else None), ld, error
+                return x, ld, error
         x = inner + sgn * (abs(x - inner) * 1.5)
     raise NonconvergedODE(f"no usable {side} cutoff found")
 
 
-# -- DOP853 ---------------------------------------------------------------------
-#
-# Dormand & Prince's 8(5,3) pair, as in Hairer's dop853.f (Hairer, Norsett
-# & Wanner, "Solving Ordinary Differential Equations I", Sec. II.10), with
-# the coefficients written as scipy's DOP853 carries them, so that the
-# tables agree bit for bit.
+# -- the Chebyshev-panel march ------------------------------------------------
+
+#: the double integral from t = -1 at the Lobatto nodes
+_CUMULATIVE2 = CUMULATIVE @ CUMULATIVE
 
 
-def _table(shape, rows):
-    """A zero array of ``shape`` with the entries {row: {column: value}}."""
-    out = np.zeros(shape)
-    for i, row in rows.items():
-        for j, value in row.items():
-            out[i, j] = value
-    return out
+def _march_panel(model, k2s, a, b, psi_a, dpsi_a):
+    """psi and psi' at the Lobatto nodes of the panel from a to b (t = -1
+    at a), one row per k^2 of ``k2s``, from their values at a.
+
+    psi'' = (V_S - k^2) psi is the Volterra equation
+    psi(z) = psi_a + psi'_a (z - a) + integral_a^z (z - s) (V_S - k^2) psi ds,
+    and on the nodes the double integral is h^2 Q^2 with h = (b - a)/2, so
+    psi is one linear solve per k (Greengard, SIAM J. Numer. Anal. 28,
+    1991), all of them one batched solve.  V_S is taken one ulp inside the
+    panel: a segment ends on a breakpoint of V_S, and its last node would
+    otherwise take V_S from across the discontinuity."""
+    h = 0.5 * (b - a)
+    t1 = _NODES + 1.0
+    lo, hi = sorted((math.nextafter(a, b), math.nextafter(b, a)))
+    q = model.VS(np.clip(a + h * t1, lo, hi)) - k2s[:, None]
+    # the right-hand sides as a (k, 17, 1) stack, which numpy 1.24 and 2.x
+    # both read as k vectors
+    rhs = psi_a[:, None] + dpsi_a[:, None] * h * t1
+    lhs = np.eye(t1.size) - (h * h) * _CUMULATIVE2 * q[:, None, :]
+    psi = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    return psi, dpsi_a[:, None] + h * ((q * psi) @ CUMULATIVE.T)
 
 
-#: stages of a step
-N_STAGES = 12
+def _march(model, k2s, a, b, psi, dpsi, rel_tol, max_depth):
+    """The solutions of psi'' = (V_S - k^2) psi from (psi, psi') at a to b,
+    one per k^2 of ``k2s``: yields (end, psi, psi', V_S points) for each
+    accepted panel in march order, with node values as ``_march_panel``
+    gives them and the points of the panel's rejected attempts counted.
 
-#: stage abscissae of a step
-C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0])
-
-_A = _table((N_STAGES + 1, N_STAGES), {
-    1: {0: 5.26001519587677318785587544488e-2},
-    2: {0: 1.97250569845378994544595329183e-2,
-        1: 5.91751709536136983633785987549e-2},
-    3: {0: 2.95875854768068491816892993775e-2,
-        2: 8.87627564304205475450678981324e-2},
-    4: {0: 2.41365134159266685502369798665e-1,
-        2: -8.84549479328286085344864962717e-1,
-        3: 9.24834003261792003115737966543e-1},
-    5: {0: 3.7037037037037037037037037037e-2,
-        3: 1.70828608729473871279604482173e-1,
-        4: 1.25467687566822425016691814123e-1},
-    6: {0: 3.7109375e-2,
-        3: 1.70252211019544039314978060272e-1,
-        4: 6.02165389804559606850219397283e-2,
-        5: -1.7578125e-2},
-    7: {0: 3.70920001185047927108779319836e-2,
-        3: 1.70383925712239993810214054705e-1,
-        4: 1.07262030446373284651809199168e-1,
-        5: -1.53194377486244017527936158236e-2,
-        6: 8.27378916381402288758473766002e-3},
-    8: {0: 6.24110958716075717114429577812e-1,
-        3: -3.36089262944694129406857109825,
-        4: -8.68219346841726006818189891453e-1,
-        5: 2.75920996994467083049415600797e1,
-        6: 2.01540675504778934086186788979e1,
-        7: -4.34898841810699588477366255144e1},
-    9: {0: 4.77662536438264365890433908527e-1,
-        3: -2.48811461997166764192642586468,
-        4: -5.90290826836842996371446475743e-1,
-        5: 2.12300514481811942347288949897e1,
-        6: 1.52792336328824235832596922938e1,
-        7: -3.32882109689848629194453265587e1,
-        8: -2.03312017085086261358222928593e-2},
-    10: {0: -9.3714243008598732571704021658e-1,
-         3: 5.18637242884406370830023853209,
-         4: 1.09143734899672957818500254654,
-         5: -8.14978701074692612513997267357,
-         6: -1.85200656599969598641566180701e1,
-         7: 2.27394870993505042818970056734e1,
-         8: 2.49360555267965238987089396762,
-         9: -3.0467644718982195003823669022},
-    11: {0: 2.27331014751653820792359768449,
-         3: -1.05344954667372501984066689879e1,
-         4: -2.00087205822486249909675718444,
-         5: -1.79589318631187989172765950534e1,
-         6: 2.79488845294199600508499808837e1,
-         7: -2.85899827713502369474065508674,
-         8: -8.87285693353062954433549289258,
-         9: 1.23605671757943030647266201528e1,
-         10: 6.43392746015763530355970484046e-1},
-    # the solution weights B
-    12: {0: 5.42937341165687622380535766363e-2,
-         5: 4.45031289275240888144113950566,
-         6: 1.89151789931450038304281599044,
-         7: -5.8012039600105847814672114227,
-         8: 3.1116436695781989440891606237e-1,
-         9: -1.52160949662516078556178806805e-1,
-         10: 2.01365400804030348374776537501e-1,
-         11: 4.47106157277725905176885569043e-2},
-})
-
-#: stage coefficients and solution weights of a step
-A = _A[:N_STAGES]
-B = _A[N_STAGES]
-#: the two error estimators, over the 12 stages and f at the step's end
-E3 = np.append(B, 0.0)
-E3[[0, 8, 11]] -= (0.244094488188976377952755905512,
-                   0.733846688281611857341361741547,
-                   0.220588235294117647058823529412e-1)
-E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-               -0.1225156446376204440720569753e+1,
-               -0.4957589496572501915214079952,
-               0.1664377182454986536961530415e+1,
-               -0.3503288487499736816886487290,
-               0.3341791187130174790297318841,
-               0.8192320648511571246570742613e-1,
-               -0.2235530786388629525884427845e-1,
-               0.0])
-#: step-size controller: the safety factor and the bounds on one change
-SAFETY = 0.9
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10
-#: the step scales as the error norm to this power (error estimator of
-#: order 7)
-ERROR_EXPONENT = -1 / 8
-#: the smallest relative tolerance, 100 machine epsilons: a smaller one is
-#: taken as this
-RTOL_FLOOR = 100 * sys.float_info.epsilon
-
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-NAN_STEP = "The step size is NaN."
-REACHED_END = "The solver successfully reached the end of the integration interval."
+    The first panel reaches b; a panel is halved while, for any k, the
+    trailing two Chebyshev coefficients of psi or of psi' (real and
+    imaginary parts together) exceed ``rel_tol`` times that function's
+    largest, the tail test of ``build_chebfun``, and one that fails at
+    ``max_depth`` raises ToleranceNotMet.  psi' is tested too because the
+    Wronskian and the drift psi'/psi are read from it."""
+    here, points = a, 0
+    # the ends still to reach from here, with their depths, nearest last
+    pending = [(b, 0)]
+    while pending:
+        end, depth = pending[-1]
+        p, d = _march_panel(model, k2s, here, end, psi, dpsi)
+        points += p.shape[-1]
+        values = np.stack((p, d), axis=1)
+        coef = np.hypot(cheb_coeffs(values.real), cheb_coeffs(values.imag))
+        if not np.all(np.max(coef[..., -2:], axis=-1)
+                      <= rel_tol * np.max(coef, axis=-1)):
+            if depth == max_depth:
+                raise ToleranceNotMet(
+                    f"psi'' = (V_S - k^2) psi unresolved at depth {depth} "
+                    f"on [{min(here, end):g}, {max(here, end):g}]")
+            pending[-1] = (end, depth + 1)
+            pending.append((0.5 * (here + end), depth + 1))
+            continue
+        pending.pop()
+        yield end, p, d, points
+        here, psi, dpsi, points = end, p[:, 0], d[:, 0], 0
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+class _Segment(NamedTuple):
+    """What ``solve_ivp`` returns: psi and psi' at the segment's end, shaped
+    (2, k), and the V_S points its march took."""
 
-
-def _nonzero(row):
-    """((index, weight), ...) of a tableau row's nonzero entries, as Python
-    floats: a zero weight adds nothing to a stage sum."""
-    return tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
-
-
-class _StageDOP853:
-    """DOP853 for y' = stage(coeff(t), y), where the coefficient depends on
-    t alone: each attempted step evaluates ``coeff`` once, at all twelve
-    of its stage abscissae, then combines the stages in plain Python
-    floats.  The scalar ``fun`` (the same right-hand side) gives f0 and
-    the initial-step probe, one point at a time.  It takes as many steps
-    as stock DOP853 on ``fun``, for the same ``nfev``, and ends within the
-    ODE tolerance of it, but not bit for bit: numpy may fuse multiply-adds
-    that Python rounds twice, and the error estimate's cancellation
-    carries that into the step sizes.  ``_solve`` hands it a ``coeff``
-    that takes V_S from inside the segment.
-    """
-
-    #: stage abscissae of a step, in units of h from its start
-    NODES = np.append(C[1:], 1.0)
-    #: nonzero weights of stages 1..11 (A), of the solution (B) and of the
-    #: two error estimators (E5, E3)
-    A_ROWS = tuple(_nonzero(row) for row in A[1:])
-    B_TERMS = _nonzero(B)
-    E5_TERMS = _nonzero(E5)
-    E3_TERMS = _nonzero(E3)
-
-    def __init__(self, fun, t0, y0, t_bound, *, coeff, stage, rtol, atol):
-        self.fun, self.coeff, self.stage = fun, coeff, stage
-        y0 = np.asarray(y0)
-        self.dtype = complex if np.iscomplexobj(y0) else float
-        self.t, self.y, self.t_bound = t0, y0.astype(self.dtype), t_bound
-        self.direction = -1.0 if t_bound < t0 else 1.0
-        self.n = self.y.size
-        self.rtol, self.atol = max(rtol, RTOL_FLOOR), atol
-        # per-component tolerances as Python floats
-        self.atol_list = [float(atol)] * self.n
-        self.rtol_list = [float(self.rtol)] * self.n
-        self.nfev = 0
-        self.f = self._eval(t0, self.y)
-        self.h_abs = self._initial_step()
-        self.status = "running"
-
-    def _eval(self, t, y):
-        """``fun`` at one point, counted in ``nfev``."""
-        self.nfev += 1
-        return np.asarray(self.fun(t, y), dtype=self.dtype)
-
-    def _initial_step(self):
-        """|h| of the first step: Hairer, Norsett & Wanner's estimate from
-        f0 and one explicit Euler probe, at most the whole interval."""
-        t0, y0, f0 = self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * self.direction * f0
-        f1 = self._eval(t0 + h0 * self.direction, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-        return min(100 * h0, h1, interval_length)
-
-    def step(self):
-        """One accepted step; ``status`` becomes "finished" at ``t_bound``,
-        or "failed" with the reason returned."""
-        if self.t == self.t_bound:
-            self.status = "finished"
-            return None
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-            return message
-        if self.direction * (self.t - self.t_bound) >= 0:
-            self.status = "finished"
-        return None
-
-    def _load(self, y):
-        """The state array in the form ``_rk_step`` takes."""
-        return y.tolist()
-
-    def _rk_step(self, t, y, h):
-        """One step of size h from the list state y: (y_new, stages), with
-        the 13 stage rows as lists."""
-        q = self.coeff(t + self.NODES * h).tolist()
-        stage = self.stage
-        comps = range(self.n)
-        K = [self.f.tolist()]
-        for row, qs in zip(self.A_ROWS, q):
-            z = []
-            for i in comps:
-                acc = 0.0
-                for j, w in row:
-                    acc += K[j][i] * w
-                z.append(y[i] + acc * h)
-            K.append(stage(qs, z))
-        y_new = []
-        for i in comps:
-            acc = 0.0
-            for j, w in self.B_TERMS:
-                acc += K[j][i] * w
-            y_new.append(y[i] + h * acc)
-        K.append(stage(q[-1], y_new))
-        self.nfev += N_STAGES
-        return y_new, K
-
-    def _scale(self, y, y_new):
-        return [a + max(abs(v), abs(w)) * r for a, r, v, w
-                in zip(self.atol_list, self.rtol_list, y, y_new)]
-
-    def _estimate_error_norm(self, K, h, scale):
-        # DOP853's RMS norm of the 5th-order estimate, corrected by the 3rd
-        err5 = err3 = 0.0
-        for i, sc in enumerate(scale):
-            e5 = e3 = 0.0
-            for j, w in self.E5_TERMS:
-                e5 += K[j][i] * w
-            for j, w in self.E3_TERMS:
-                e3 += K[j][i] * w
-            e5 /= sc
-            e3 /= sc
-            err5 += e5.real * e5.real + e5.imag * e5.imag
-            err3 += e3.real * e3.real + e3.imag * e3.imag
-        if err5 == 0 and err3 == 0:
-            return 0.0
-        return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(scale))
-
-    def _step_impl(self):
-        """(success, message): attempts from ``h_abs`` until one is
-        accepted, each rejection shrinking the step."""
-        t = self.t
-        y = self._load(self.y)
-        direction = self.direction
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(float(self.h_abs), min_step)
-        if math.isnan(h_abs):
-            return False, NAN_STEP
-
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False, TOO_SMALL_STEP
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            y_new, K = self._rk_step(t, y, h)
-            scale = self._scale(y, y_new)
-            error_norm = self._estimate_error_norm(K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR,
-                             SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-
-        self.t = t_new
-        self.y = np.array(y_new, dtype=self.dtype)
-        self.h_abs = h_abs
-        self.f = np.array(K[-1], dtype=self.dtype)
-        return True, None
-
-
-class _GridDOP853(_StageDOP853):
-    """_StageDOP853 on the flat state [u_1..u_R, psi_1..psi_L,
-    psi'_1..psi'_L] of R + L wavenumbers that share V_S: the first R carry
-    only their log-derivative u (``riccati`` = R), the other L their
-    (psi, psi') pair.  ``coeff`` gives V_S - k^2 as a (nodes, R + L) array
-    in that order.  The stages are combined with numpy, as stock DOP853
-    combines them.  The error norm is the largest of the wavenumbers' own
-    DOP853 norms, over their 1 or 2 components, so no wavenumber is
-    integrated more loosely than it would be alone; the RMS over the whole
-    state would loosen the worst one by up to sqrt(R + 2L).
-    """
-
-    def __init__(self, fun, t0, y0, t_bound, *, riccati=0, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        # the 13 stages of a step, f at its end last
-        self.K = np.empty((N_STAGES + 1, self.n), dtype=self.dtype)
-        pairs = (self.n - riccati) // 2
-        self.split = (riccati, riccati + pairs)
-        # each wavenumber's number of components
-        self.width = np.repeat([1.0, 2.0], [riccati, pairs]) if riccati \
-            else 2.0
-
-    def _load(self, y):
-        return y
-
-    def _rk_step(self, t, y, h):
-        q = self.coeff(t + self.NODES * h)
-        stage = self.stage
-        K = self.K
-        K[0] = self.f
-        for s, (a, qs) in enumerate(zip(A[1:], q), start=1):
-            K[s] = stage(qs, y + np.dot(K[:s].T, a[:s]) * h)
-        y_new = y + h * np.dot(K[:-1].T, B)
-        K[-1] = stage(q[-1], y_new)
-        self.nfev += N_STAGES
-        return y_new, K
-
-    def _scale(self, y, y_new):
-        return self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-
-    def _per_k(self, squares):
-        """Sums of ``squares`` over each wavenumber's components."""
-        r, m = self.split
-        pairs = squares[r:m] + squares[m:]
-        return np.concatenate((squares[:r], pairs)) if r else pairs
-
-    def _estimate_error_norm(self, K, h, scale):
-        # DOP853's norm of each wavenumber's u or (psi, psi')
-        err5 = np.abs(np.dot(K.T, E5) / scale)
-        err3 = np.abs(np.dot(K.T, E3) / scale)
-        err5 = self._per_k(err5 * err5)
-        err3 = self._per_k(err3 * err3)
-        denom = err5 + 0.01 * err3
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norms = np.where(denom == 0, 0.0,
-                             err5 / np.sqrt(denom * self.width))
-        # a NaN state stays NaN here, so the controller rejects the step
-        return abs(h) * float(norms.max())
-
-
-@dataclass
-class _Solve:
-    """What ``solve_ivp`` returns: the accepted times and states (one
-    column per time), the right-hand-side evaluations, and whether and
-    why the solve ended."""
-
-    t: np.ndarray
     y: np.ndarray
     nfev: int
-    success: bool
-    message: str
 
 
-def solve_ivp(fun, t_span, y0, method=_StageDOP853, **options):
-    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] by ``method``
-    (_StageDOP853 or _GridDOP853, which take their ``coeff``, ``stage``,
-    ``rtol`` and ``atol`` from ``options``), stepping until the end is
-    reached or a step fails."""
-    t0, tf = map(float, t_span)
-    solver = method(fun, t0, y0, tf, **options)
-    ts, ys = [t0], [solver.y]
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            break
-        ts.append(solver.t)
-        ys.append(solver.y)
-    success = solver.status == "finished"
-    return _Solve(t=np.array(ts), y=np.vstack(ys).T, nfev=solver.nfev,
-                  success=success, message=REACHED_END if success else message)
+def solve_ivp(model, span, k2s, psi, dpsi, cfg):
+    """The march of one sweep segment, from span[0] to span[1], of every
+    k^2 of ``k2s`` from (psi, psi') at span[0], to the panel tail tolerance
+    ``cfg.ode_rel_tol``; raises NonconvergedODE where a panel is still
+    unresolved ``MAX_DEPTH`` halvings below the segment."""
+    nfev = 0
+    try:
+        for _, p, d, points in _march(model, k2s, *span, psi, dpsi,
+                                      max(cfg.ode_rel_tol, RTOL_FLOOR),
+                                      MAX_DEPTH):
+            nfev += points
+    except ToleranceNotMet as exc:
+        raise NonconvergedODE(str(exc)) from None
+    return _Segment(np.array([p[:, 0], d[:, 0]]), nfev)
 
 
-def _riccati(q, u):
-    return [q - u[0] * u[0]]
-
-
-def _linear(q, s):
-    return [s[1], q * s[0]]
-
-
-def _linear_grid(q, s):
-    """_linear for the flat state of len(q) wavenumbers."""
-    n = q.size
-    return np.concatenate((s[n:], q * s[:n]))
-
-
-def _grid_stage(riccati):
-    """The stage of _GridDOP853's flat state whose first ``riccati``
-    wavenumbers carry u: _riccati for those, _linear for the rest."""
-    if not riccati:
-        return _linear_grid
-
-    def stage(q, s):
-        n = q.size
-        u = s[:riccati]
-        return np.concatenate((q[:riccati] - u * u, s[n:],
-                               q[riccati:] * s[riccati:n]))
-
-    return stage
-
-
-def _solve(coeff, stage, span, state, cfg, method=_StageDOP853, **options):
-    """``solve_ivp`` of y' = stage(coeff(t), y) over ``span`` by ``method``
-    (_StageDOP853 or _GridDOP853); raises NonconvergedODE when the solver
-    fails.
-
-    ``coeff`` is taken one ulp inside the span: a segment ends at a
-    breakpoint of V_S, and a step's last node (and f0) would otherwise
-    take V_S from across the discontinuity."""
-    lo, hi = sorted((math.nextafter(span[0], span[1]),
-                     math.nextafter(span[1], span[0])))
-
-    def inside(ts):
-        return coeff(ts.clip(lo, hi))
-
-    def fun(t, y):
-        return stage(inside(np.array([t]))[0], y)
-
-    res = solve_ivp(fun, span, state, method=method, coeff=inside,
-                    stage=stage, rtol=cfg.ode_rel_tol, atol=ODE_ABS_TOL,
-                    **options)
-    if not res.success:
-        raise NonconvergedODE(res.message)
-    return res
-
-
-# -- segmented complex integration ----------------------------------------------
+# -- two-sided solutions ------------------------------------------------------
 
 
 class _Solution:
-    """One-directional solution with per-record log scale factors, the
-    Riccati tail's switch point (None without one) and the ODE work of
-    every solve it took part in."""
+    """One-directional solution at its record points, with per-record log
+    scale factors, and the V_S points of every march it took part in."""
 
-    def __init__(self, switch=None):
+    def __init__(self):
         self.records = {}  # z -> (psi, dpsi, logscale)
-        self.switch = switch
         self.nfev = 0
 
     def add(self, z, psi, dpsi, logscale):
@@ -768,111 +371,60 @@ class _Span:
     def _end(model, k2, cutoff, edge, side, cfg):
         """The end beyond ``edge`` on ``side``: ``_auto_cutoff``'s, or the
         config's ``cutoff`` (moved out to ``edge`` where it falls inside),
-        with ``_phase_logderiv``'s data and no switch."""
+        with ``_phase_series``' boundary data and error."""
         if cutoff is None:
             inner = edge + 0.5 if side == "right" else edge - 0.5
             return _auto_cutoff(model, inner, k2, side, cfg)
         cut = max(cutoff, edge) if side == "right" else min(cutoff, edge)
-        return (cut, None) + _phase_logderiv(model, cut, k2, side)
+        return (cut,) + _phase_series(model, cut, k2, side)[1:]
 
 
 def _integrate_grid_side(model, k2s, sides, span, end, cfg, side):
     """One _Solution per wavenumber, from its end of ``sides`` (cutoff,
-    switch, boundary data, boundary error) to ``end``, by one sweep inward
-    from the outermost cutoff.  The sweep's stops are the span's stops from
-    there to ``end`` plus every cutoff and switch point.
+    boundary data, boundary error) to ``end``, by one sweep inward from the
+    outermost cutoff.  The sweep's stops are the span's stops from there to
+    ``end`` plus every cutoff.
 
-    A wavenumber enters the sweep at its own cutoff with its boundary data,
-    the phase-integral log-derivative ld there: as the pair (psi, psi') =
-    (1, ld) where it has no switch point, or else as the log-derivative
-    u = psi'/psi alone, through the Riccati equation
-    u' = (V_S - k^2) - u^2, and at its switch point as the pair (1, u).
-    G does not depend on the normalization of either side's solution, so
-    this is exact; inward, the Riccati equation is neutral for an outgoing
-    wave and damping for a decaying one.  Between two stops every active
-    wavenumber takes the same steps: one alone is stepped by _StageDOP853
-    in plain floats, as a single sample is, several by _GridDOP853.  A
-    delta of V_S shifts u by its weight, or psi' by its weight times psi,
-    where it is crossed, and a pair beyond 1e+-50 is renormalized into its
-    own log scale.
+    A wavenumber enters the sweep at its own cutoff as the pair
+    (psi, psi') = (1, ld), ld its boundary data there.  Between two stops
+    every active wavenumber is carried by the same panels, one
+    ``solve_ivp`` segment.  psi' jumps by a delta's weight times psi where
+    one of V_S is crossed, and a pair beyond 1e+-50 is renormalized into
+    its own log scale.
     """
     down = side == "right"
-    n = len(k2s)
-    sols = [_Solution(switch) for _, switch, _, _ in sides]
-    cuts = [cut for cut, _, _, _ in sides]
+    k2s = np.asarray(k2s)
+    n = len(sides)
+    sols = [_Solution() for _ in sides]
+    cuts = [cut for cut, _, _ in sides]
     stops = set(span.stops(max(cuts) if down else min(cuts), end))
     stops.update(cuts)
-    stops.update(switch for _, switch, _, _ in sides if switch is not None)
-    # u while a wavenumber is in ``ric``, (psi, psi', logscale) in ``lin``
-    u, psi, dpsi, logscale = [None] * n, [None] * n, [None] * n, [0.0] * n
-    ric, lin = [], []
+    psi, dpsi = np.ones(n, complex), np.zeros(n, complex)
+    logscale = np.zeros(n)
+    active = []
     here = None
     for target in sorted(stops, reverse=down):
-        if ric or lin:
-            active = ric + lin
-            res = _solve_active(
-                model, [k2s[i] for i in active], len(ric),
-                [u[i] for i in ric] + [psi[i] for i in lin]
-                + [dpsi[i] for i in lin], (here, target), cfg)
-            y = list(res.y[:, -1])
-            r, na = len(ric), len(active)
-            for i, v in zip(ric, y[:r]):
-                u[i] = v
-            for i, p, d in zip(lin, y[r:na], y[na:]):
-                psi[i], dpsi[i] = p, d
-            for i in active:
-                sols[i].nfev += res.nfev
+        if active:
+            res = solve_ivp(model, (here, target), k2s[active], psi[active],
+                            dpsi[active], cfg)
+            p, d = res.y
             if target in span.jump_map:
                 w = span.jump_map[target]
-                for i in ric:
-                    u[i] = u[i] - w if down else u[i] + w
-                for i in lin:
-                    # crossing a delta of V_S: psi' jumps by weight * psi
-                    p, d = psi[i], dpsi[i]
-                    dpsi[i] = d - w * p if down else d + w * p
-            for i in lin:
-                p, d = psi[i], dpsi[i]
-                m = max(abs(p), abs(d))
-                if m > 1e50 or (0 < m < 1e-50):
-                    psi[i], dpsi[i] = p / m, d / m
-                    logscale[i] += math.log(m)
+                d = d - w * p if down else d + w * p
+            m = np.maximum(np.abs(p), np.abs(d))
+            m = np.where((m > 1e50) | ((0 < m) & (m < 1e-50)), m, 1.0)
+            psi[active], dpsi[active] = p / m, d / m
+            logscale[active] += np.log(m)
+            for i in active:
+                sols[i].nfev += res.nfev
         here = target
-        for i in [i for i in ric if sides[i][1] == here]:
-            ric.remove(i)
-            lin.append(i)
-            psi[i], dpsi[i] = 1.0 + 0.0j, u[i]
-        for i, (cut, switch, ld, _) in enumerate(sides):
+        for i, (cut, ld, _) in enumerate(sides):
             if cut == here:
-                if switch is None:
-                    lin.append(i)
-                    psi[i], dpsi[i] = 1.0 + 0.0j, ld
-                else:
-                    ric.append(i)
-                    u[i] = ld
-        for i in lin:
+                active.append(i)
+                psi[i], dpsi[i] = 1.0, ld
+        for i in active:
             sols[i].add(here, psi[i], dpsi[i], logscale[i])
     return sols
-
-
-def _solve_active(model, k2s, riccati, state, span, cfg):
-    """``_solve`` over ``span`` of the wavenumbers ``k2s`` (squared) in
-    ``state`` order, the first ``riccati`` of them carrying u: one alone
-    in the plain-float stepper, several as one _GridDOP853 system."""
-    if len(k2s) == 1:
-        (k2,) = k2s
-
-        def vs_minus_k2(ts):
-            return model.VS(ts) - k2
-
-        return _solve(vs_minus_k2, _riccati if riccati else _linear, span,
-                      state, cfg)
-    k2a = np.array(k2s)
-
-    def coeff(ts):
-        return model.VS(ts)[:, None] - k2a
-
-    return _solve(coeff, _grid_stage(riccati), span, state, cfg, _GridDOP853,
-                  riccati=riccati)
 
 
 def _wronskian(left_rec, right_rec):
@@ -937,13 +489,11 @@ def _green_from(span, x, y, k, left, right, left_end, right_end):
         "k_effective": k,
         "cutoff_left": left_end[0],
         "cutoff_right": right_end[0],
-        "boundary_error_left": left_end[3],
-        "boundary_error_right": right_end[3],
+        "boundary_error_left": left_end[2],
+        "boundary_error_right": right_end[2],
         "wronskian_variation": var,
         "wronskian_condition": abs(w_mid) / degeneracy,
         "derivative_jump_defect": defect,
-        "tail_switch_left": left.switch,
-        "tail_switch_right": right.switch,
         "rhs_evals": left.nfev + right.nfev,
     }
     return GreenSample(x=float(x), y=float(y), k=k, value=g), diag
@@ -979,7 +529,7 @@ def _grid_reports(model, x, y, ks, cfg):
 
 def _solve_grid(model, x, y, ks, cfg):
     """(reports, error) as ``_each_k`` gives them, with the wavenumbers
-    ``ks`` integrated as one system per side."""
+    ``ks`` marched by one sweep per side."""
     span = _Span(model, x, y)
     setups, error = [], None
     for k in ks:
@@ -1001,7 +551,7 @@ def _solve_grid(model, x, y, ks, cfg):
     except NonconvergedODE as exc:
         if len(ks) == 1:
             return [], exc
-        # which wavenumber the solver failed on is the per-k loop's to say
+        # which wavenumber the march failed on is the per-k loop's to say
         reports, failed = _each_k(model, x, y, ks[:len(setups)], cfg)
         return reports, failed or error
     reports = []
@@ -1017,7 +567,7 @@ def _solve_grid(model, x, y, ks, cfg):
 
 def green_exact(model: PotentialModel, x: float, y: float, k,
                 cfg: SolverConfig = SolverConfig()) -> GreenSample:
-    """Exact Green function sample by two-sided integration.
+    """Exact Green function sample by a two-sided march.
 
     A real k is solved on the real axis; G(k + i*epsilon) is the sample at
     the complex k.  At or next to a pole of G, such as a bound state, the
@@ -1036,14 +586,13 @@ def green_exact_grid(model, x, y, ks, cfg: SolverConfig = SolverConfig()):
     """[(sample, diagnostics)] over the wavenumbers ``ks``, raising what
     the per-k loop of green_exact would raise first.
 
-    The wavenumbers are integrated by one sweep per side, inward from the
-    outermost cutoff: each k enters at its own cutoff, carrying only its
-    log-derivative down to its switch point where it has one, and every
-    k active between two stops takes the same steps.  One k takes the
-    same path with the plain-float stepper, so its sample is the single
-    sample.  Each k's diagnostics report the cutoffs and tail switches
-    of its single sample, and ``rhs_evals`` counts the evaluations of
-    every solve that k took part in.
+    The wavenumbers are marched by one sweep per side, inward from the
+    outermost cutoff: each k enters at its own cutoff, and every k active
+    between two stops is carried by the same panels, each accepted when
+    every k passes its tail test.  One k takes the same path, so its
+    sample is the single sample.  Each k's diagnostics report the cutoffs
+    of its single sample, and ``rhs_evals`` counts the V_S points of every
+    segment that k took part in.
     """
     reports, error = _grid_reports(model, x, y, ks, cfg)
     if error is not None:
@@ -1130,10 +679,6 @@ def _zero_mode_cutoff(model, side: str) -> float:
     raise NonconvergedODE(f"V_S does not approach zero toward {side}")
 
 
-#: the double integral from t = -1 at the Lobatto nodes
-_CUMULATIVE2 = CUMULATIVE @ CUMULATIVE
-
-
 class ZeroMode:
     """A zero-energy solution: psi and psi' on Chebyshev panels inside
     (lo, hi), and from each end outward, where V_S vanishes, the straight
@@ -1164,63 +709,27 @@ class ZeroMode:
         return float(out) if z.ndim == 0 else out
 
 
-def _zero_mode_panel(model, a, b, psi_a, dpsi_a):
-    """psi and psi' at the Lobatto nodes of the panel from a to b (t = -1
-    at a), from their values at a.
-
-    psi'' = V_S psi is the Volterra equation
-    psi(z) = psi_a + psi'_a (z - a) + integral_a^z (z - s) V_S(s) psi(s) ds,
-    and on the nodes the double integral is h^2 Q^2 with h = (b - a)/2, so
-    psi is one linear solve (Greengard, SIAM J. Numer. Anal. 28, 1991).
-    V_S is taken one ulp inside the panel, as ``_solve`` takes it."""
-    h = 0.5 * (b - a)
-    t1 = _NODES + 1.0
-    lo, hi = sorted((math.nextafter(a, b), math.nextafter(b, a)))
-    vs = model.VS(np.clip(a + h * t1, lo, hi))
-    psi = np.linalg.solve(np.eye(t1.size) - (h * h) * _CUMULATIVE2 * vs,
-                          psi_a + dpsi_a * h * t1)
-    return psi, dpsi_a + h * (CUMULATIVE @ (vs * psi))
-
-
 def _zero_mode(model, start, end, stops, jumps, cfg) -> ZeroMode:
     """The zero-energy solution with (psi, psi') = (1, 0) at ``start``,
-    marched to ``end`` through ``stops`` (in march order), psi' jumping by
-    a delta's weight times psi where one is crossed.
-
-    From each stop the first panel reaches the next stop; a panel is
-    halved while the trailing Chebyshev coefficients of psi or of psi'
-    exceed ``cfg.rel_tol`` times that function's largest, the tail test of
-    ``build_chebfun``, and one that fails at ``cfg.max_depth`` raises
-    ToleranceNotMet.  psi' is tested too because the drift psi'/psi is
-    read from its panels."""
+    marched at k = 0 to ``end`` through ``stops`` (in march order), to
+    ``cfg.rel_tol`` and ``cfg.max_depth``, psi' jumping by a delta's
+    weight times psi where one is crossed.  From each stop the first panel
+    reaches the next stop."""
     step = 1 if end > start else -1
-    here, psi_a, dpsi_a = start, 1.0, 0.0
+    zero = np.zeros(1)
+    psi_a, dpsi_a = np.ones(1), np.zeros(1)
     edges, psis, dpsis = [start], [], []
     for target in stops + [end]:
-        # the ends still to reach from here, with their depths, nearest last
-        pending = [(target, 0)]
-        while pending:
-            b, depth = pending[-1]
-            psi, dpsi = _zero_mode_panel(model, here, b, psi_a, dpsi_a)
-            coef = np.abs(cheb_coeffs(np.array([psi, dpsi])))
-            if not np.all(np.max(coef[:, -2:], axis=1)
-                          <= cfg.rel_tol * np.max(coef, axis=1)):
-                if depth == cfg.max_depth:
-                    raise ToleranceNotMet(
-                        f"zero-energy solution unresolved at depth {depth} "
-                        f"on [{min(here, b):g}, {max(here, b):g}]")
-                pending[-1] = (b, depth + 1)
-                pending.append((0.5 * (here + b), depth + 1))
-                continue
-            pending.pop()
+        for b, psi, dpsi, _ in _march(model, zero, edges[-1], target, psi_a,
+                                      dpsi_a, cfg.rel_tol, cfg.max_depth):
             edges.append(b)
             # node values in increasing z, as PiecewiseChebFun holds them
-            psis.append(psi[::step])
-            dpsis.append(dpsi[::step])
-            here, psi_a, dpsi_a = b, psi[0], dpsi[0]
-        if here in jumps:
-            dpsi_a += step * jumps[here] * psi_a
-    ends = ((1.0, 0.0), (float(psi_a), float(dpsi_a)))[::step]
+            psis.append(psi[0, ::step])
+            dpsis.append(dpsi[0, ::step])
+        psi_a, dpsi_a = psi[:, 0], dpsi[:, 0]
+        if target in jumps:
+            dpsi_a = dpsi_a + step * jumps[target] * psi_a
+    ends = ((1.0, 0.0), (float(psi_a[0]), float(dpsi_a[0])))[::step]
     edges, psis, dpsis = edges[::step], psis[::step], dpsis[::step]
     return ZeroMode(PiecewiseChebFun(edges, cheb_coeffs(np.array(psis))),
                     PiecewiseChebFun(edges, cheb_coeffs(np.array(dpsis))),

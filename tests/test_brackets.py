@@ -17,7 +17,7 @@ from lowkgreen.brackets import (
 )
 from lowkgreen.cli import main
 from lowkgreen.coeffgen import Family, Side
-from lowkgreen.errors import DivergentTail, InvalidSpec
+from lowkgreen.errors import DivergentTail, InvalidSpec, LowkGreenError
 from lowkgreen.potential import (
     EXPONENTIAL,
     Discontinuity,
@@ -25,6 +25,7 @@ from lowkgreen.potential import (
     EndpointKind,
     catalog,
     custom_model,
+    max_valid_order,
 )
 
 from test_assembler import neg_exponential_model
@@ -123,6 +124,18 @@ class TestElementary:
         free = catalog("free")
         with pytest.raises(DivergentTail):
             eval_bracket(plain((-1,), -INF, 0.0), free, CFG)
+
+    # alpha just above an integer leaves a tail whose cut the simplex factor
+    # |z|^(depth - 1) overflows at the top valid order: each of these raised
+    # a bare OverflowError from _find_cut
+    @pytest.mark.parametrize("alpha", [5.1, 7.1, 7.2, 9.1, 9.2, 9.3, 11.1,
+                                       11.2, 11.3, 11.4])
+    def test_slow_logstep_tail_at_the_top_order_is_typed(self, alpha):
+        model = catalog("logstep", alpha=alpha)
+        try:
+            green_series(model, 1.5, 0.8, max_valid_order(model))
+        except LowkGreenError:
+            pass
 
     @pytest.mark.parametrize("signs", [(1,), (-1, 1, 1)])
     def test_empty_span_is_zero(self, signs):

@@ -100,6 +100,12 @@ class TestExpand:
         assert code == 2
         assert "validity" in err
 
+    def test_overflowing_tail_cut_exit_3(self, capsys):
+        code, out, err = run(capsys, "expand", "logstep", "--alpha", "7.2",
+                             "--x", "1.5", "--y", "0.8", "--order", "6")
+        assert code == 3 and out == ""
+        assert "simplex factor overflows" in err
+
     def test_barrier_generic_default_points(self, capsys):
         code, out, _ = run(capsys, "expand", "barrier", "--a", "1",
                            "--generic", "--order", "0")
@@ -385,6 +391,21 @@ class TestConfigAndEnv:
         assert code == 0
         data = json.loads(out)
         assert data["x"] == 1.2 and data["order"] == 2
+
+    @pytest.mark.parametrize("data", [{"ode_tl": 1e-3},
+                                      {"x": 1.2, "epsilon_imag": 1e-8}])
+    def test_config_file_refuses_unknown_keys(self, capsys, tmp_path, data):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(data))
+        code, out, err = run(capsys, "oracle", "free", "--config", str(cfgfile),
+                             "--k-start", "0.5", "--k-count", "1")
+        assert code == 2 and out == ""
+        assert "unknown config key" in err
+        # a key written with dashes names the same option
+        cfgfile.write_text(json.dumps({"ode-tol": 1e-9, "k_count": 1}))
+        code, _, _ = run(capsys, "oracle", "free", "--config", str(cfgfile),
+                         "--k-start", "0.5")
+        assert code == 0
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.json"

@@ -3,9 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as stock_solve_ivp
-from scipy.integrate._ivp import rk
 from scipy.special import eval_legendre, jv
 
 from lowkgreen import custom_model, oracle
@@ -21,11 +19,6 @@ from lowkgreen.errors import (
 )
 from lowkgreen.oracle import (
     SolverConfig,
-    _linear,
-    _phase_logderiv,
-    _riccati,
-    _GridDOP853,
-    _StageDOP853,
     bessel_j,
     green_closed_ex5,
     green_closed_ex6,
@@ -146,7 +139,8 @@ class TestRealAxis:
             assert _rel(s.value, closed(x, y, k)) <= tol
 
     # G ~ 1/k^2 at small k amplifies the ODE tolerance: at k = 0.01 the two
-    # pairs read 2.9e-8 and 4.7e-8 from the closed form
+    # pairs read 2.9e-8 and 4.7e-8 from the closed form under DOP853, and
+    # 5.6e-12 and 7.9e-11 on the panel march
     @pytest.mark.parametrize("x,y", [(1.5, 0.4), (0.5, -0.3)])
     @pytest.mark.parametrize("k", [0.01, 0.1, 0.3, 0.5, 1.5, 3.0])
     def test_logcosh_against_poschl_teller(self, x, y, k):
@@ -154,9 +148,8 @@ class TestRealAxis:
         tol = 5e-8 if k == 0.01 else 1e-9
         assert _rel(s.value, poschl_teller_green(x, y, k)) <= tol
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "FOUND in CHANGES.md: the right Riccati tail's DOP853 accepts steps "
-        "of about 4 across e^{2z} structure, 1.8e-6 from the closed form"))
+    # DOP853 on the right Riccati tail took steps of about 4 across e^{2z}
+    # structure here and was 1.8e-6 from the closed form; the march is not
     def test_logcosh_right_tail_outlier(self):
         k = float(self.K_GRID[3])
         s = green_exact(catalog("logcosh"), 1.5, 0.4, k, CFG)
@@ -314,6 +307,13 @@ class TestScalingFit:
         slope = remainder_scaling_fit(catalog("parabolic"), 1.2, 1.0, 0, ks, CFG)
         assert abs(slope - 2.0) < 0.15
 
+    def test_parabolic_remainder_slope_at_order_two(self):
+        # the N=2 remainder is the k^4 term; the oracle's own error bent
+        # the fit to 4.752 under DOP853
+        ks = np.geomspace(0.05, 0.3, 9)
+        slope = remainder_scaling_fit(catalog("parabolic"), 1.2, 1.0, 2, ks)
+        assert abs(slope - 4.0) < 0.05
+
     def test_logstep_marginal(self):
         ks = np.geomspace(1e-3, 1e-1, 7)
         slope = remainder_scaling_fit(catalog("logstep", alpha=1.5),
@@ -371,26 +371,30 @@ TAIL_REFERENCE = [
     ("free", {}, 1.2, 0.3, complex(0.3, RECORDED_EPS), complex(0.4445523369375862, -1.606284827638332)),
 ]
 
-# Paths the Riccati tail leaves alone (confining and zero-edge cutoffs, and
-# cutoffs set in the config), recorded with V_S taken from inside each
-# segment: (..., config, value).  The barrier rows (value None) are checked
-# against green_closed_ex6.  The sqrtwell row was re-recorded when
-# boundary data set in the config gained u_3: it was
-# 0.47023938047530117-1.820172379649576j, 3.0e-6 from a solve cut at
-# +-14790, and is now 4.9e-7 from it.
+# Paths the Riccati tail left alone (confining and zero-edge cutoffs, and
+# cutoffs set in the config): (..., config, value, tolerance).  The barrier
+# rows (value None) are checked against green_closed_ex6.  The parabolic
+# values are its closed form, G = D_nu(-sqrt2 y) D_nu(sqrt2 x) / W with
+# nu = k^2/2 (parabolic cylinder functions, 40 digits); the sqrtwell and
+# logstep rows, cut where no closed form applies, are DOP853 solves at
+# ode_rel_tol 1e-13, whose own error is about 1e-13 here.
 UNTOUCHED_REFERENCE = [
-    ("parabolic", {}, 1.2, 1.0, complex(0.01, RECORDED_EPS), {}, complex(1665.3715425604971, -0.00333131687016661)),
-    ("parabolic", {}, 1.2, 1.0, complex(0.3, RECORDED_EPS), {}, complex(1.5533428668344227, -1.241337276289836e-07)),
-    ("barrier", {"a": 1.0}, 0.5, -0.3, complex(0.01, RECORDED_EPS), {}, None),
-    ("barrier", {"a": 1.0}, 0.5, -0.3, complex(0.3, RECORDED_EPS), {}, None),
+    ("parabolic", {}, 1.2, 1.0, complex(0.01, RECORDED_EPS), {}, complex(1665.3712553627422, -0.0033313157215626088), 1e-11),
+    ("parabolic", {}, 1.2, 1.0, complex(0.3, RECORDED_EPS), {}, complex(1.553342866585141, -1.2413372760014625e-07), 1e-14),
+    ("barrier", {"a": 1.0}, 0.5, -0.3, complex(0.01, RECORDED_EPS), {}, None, 1e-10),
+    ("barrier", {"a": 1.0}, 0.5, -0.3, complex(0.3, RECORDED_EPS), {}, None, 1e-10),
     ("sqrtwell", {}, 1.0, -0.5, complex(0.3, RECORDED_EPS), {"cutoff_left": -40.0, "cutoff_right": 40.0},
-     complex(0.470235660881846, -1.8201768294864904)),
+     complex(0.470235660884452, -1.8201768294790182), 1e-12),
     ("logstep", {"alpha": 1.5}, 1.5, 0.8, complex(0.05, RECORDED_EPS), {"cutoff_left": -20.0, "cutoff_right": 60.0},
-     complex(1.3612679380653505, -14.459756034679353)),
+     complex(1.361267940794639, -14.459756034204737), 1e-12),
 ]
 
 
 class TestRiccatiTail:
+    """Samples against references recorded before, during and after the
+    Riccati tail, which integrated power tails by their log-derivative: every
+    side is now marched linearly from its cutoff."""
+
     @pytest.mark.parametrize("name,params,x,y,k,want", TAIL_REFERENCE,
                              ids=[f"{r[0]}{r[1].get('alpha', '')}-k{_k_id(r[4])}"
                                   for r in TAIL_REFERENCE])
@@ -402,17 +406,17 @@ class TestRiccatiTail:
         assert abs(s.value - want) < tol * abs(want)
         assert d["wronskian_variation"] < 1e-5
 
-    @pytest.mark.parametrize("name,params,x,y,k,cfg,want", UNTOUCHED_REFERENCE,
+    @pytest.mark.parametrize("name,params,x,y,k,cfg,want,tol",
+                             UNTOUCHED_REFERENCE,
                              ids=[f"{r[0]}-k{_k_id(r[4])}{'-cut' if r[5] else ''}"
                                   for r in UNTOUCHED_REFERENCE])
-    def test_other_cutoffs_unchanged(self, name, params, x, y, k, cfg, want):
-        s, d = green_exact_report(catalog(name, **params), x, y, k,
+    def test_other_cutoffs_unchanged(self, name, params, x, y, k, cfg, want,
+                                     tol):
+        s, _ = green_exact_report(catalog(name, **params), x, y, k,
                                   SolverConfig(**cfg))
-        tol = 1e-14
         if want is None:
-            want, tol = green_closed_ex6(x, y, s.k, params["a"]), 1e-10
+            want = green_closed_ex6(x, y, s.k, params["a"])
         assert abs(s.value - want) <= tol * abs(want)
-        assert d["tail_switch_left"] is None and d["tail_switch_right"] is None
 
     def test_logcosh_small_k_against_converged(self):
         # G ~ 1/k^2 here, so the ODE tolerance is amplified: at the default
@@ -434,21 +438,25 @@ class TestRiccatiTail:
 
         model = dataclasses.replace(sw, eval_VS=counting)
         _, d = green_exact_report(model, 1.04, -0.54, 0.006, CFG)
-        # the linear tail from the +-2.9e5 cutoffs took about 130k points
+        # DOP853's linear tail from the +-2.9e5 cutoffs took about 130k
+        # points; the march takes about 4k
         assert sum(points) < 50_000
         assert 0 < d["rhs_evals"] <= sum(points)
-        # one call per ODE step, not one per stage (about 37.8k calls)
+        # one call per panel attempt (one per DOP853 stage was about 37.8k)
         assert len(points) < 5_000
 
     def test_diagnostics(self):
+        keys = ["k_effective", "cutoff_left", "cutoff_right",
+                "boundary_error_left", "boundary_error_right",
+                "wronskian_variation", "wronskian_condition",
+                "derivative_jump_defect", "rhs_evals"]
         _, d = green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
-        assert list(d)[-3:] == ["tail_switch_left", "tail_switch_right", "rhs_evals"]
-        assert d["cutoff_left"] < d["tail_switch_left"] < -0.5
-        assert 1.0 < d["tail_switch_right"] < d["cutoff_right"]
+        assert list(d) == keys
+        assert d["cutoff_left"] < -0.5 and 1.0 < d["cutoff_right"]
         _, d = green_exact_report(catalog("logstep", alpha=1.5), 1.5, 0.8, 0.01, CFG)
         # zero-edge on the left, power tail on the right
-        assert d["tail_switch_left"] is None
-        assert 1.5 < d["tail_switch_right"] < d["cutoff_right"]
+        assert list(d) == keys
+        assert 1.5 < d["cutoff_right"]
 
 
 # Confining cutoffs (parabolic both ends, exponential on the right; the
@@ -613,159 +621,124 @@ class TestFirstOmittedTerm:
         assert 0 < d["boundary_error_right"] < CFG.boundary_tol
 
 
+class _Stepped:
+    """A stand-in model with only V_S, for single-segment marches."""
+
+    def __init__(self, vs):
+        self.VS = vs
+
+
 class TestStageBatched:
-    """The module's DOP853 driver against stock scipy DOP853 on the same
-    scalar right-hand side.  Stepped with scipy's arithmetic (stages
-    combined with numpy, scipy's RMS error norm), the driver's initial
-    step, controller and step loop take stock DOP853's steps bit for bit.
-    The plain-float stepper of a single sample rounds differently (numpy
-    may fuse multiply-adds that Python rounds twice), which the error
-    estimate's cancellation carries into the step sizes: it takes as many
-    steps with the same work and ends within the ODE tolerance."""
+    """One sweep segment's march, ``oracle.solve_ivp``, against scipy's
+    DOP853 at a tight tolerance on the same equation.  V_S is evaluated in
+    one batch per panel attempt, at the panel's 17 nodes for every k it
+    carries, and ``nfev`` counts those points."""
 
-    class Reference(_GridDOP853):
-        """_GridDOP853's numpy stage sums on one wavenumber's scalar stage,
-        with stock DOP853's error norm."""
+    @staticmethod
+    def both(model, k2, span, y0):
+        """(march, stock): the march at the default tolerance, and scipy's
+        DOP853 at rtol 1e-13 with V_S taken inside the span; their ends
+        agree to the march's tolerance."""
+        res = oracle.solve_ivp(model, span, np.array([k2]),
+                               np.array([y0[0]]), np.array([y0[1]]), CFG)
+        lo, hi = sorted(span)
 
-        E3, E5 = oracle.E3, oracle.E5
-        _estimate_error_norm = DOP853._estimate_error_norm
-
-    @classmethod
-    def both(cls, coeff, stage, span, y0, **options):
-        """(stock, reference, batched): scipy's DOP853, the driver with
-        scipy's arithmetic, and the driver with the plain-float stepper."""
         def fun(t, y):
-            return stage(coeff(np.array([t]))[0], y)
+            q = model.VS(np.array([min(max(t, lo), hi)]))[0] - k2
+            return [y[1], q * y[0]]
 
-        kw = dict(rtol=CFG.ode_rel_tol, atol=oracle.ODE_ABS_TOL, **options)
-        stock = stock_solve_ivp(fun, span, y0, method="DOP853", **kw)
-        reference, batched = (
-            oracle.solve_ivp(fun, span, y0, method=method, coeff=coeff,
-                             stage=stage, **kw)
-            for method in (cls.Reference, _StageDOP853))
-        assert stock.status == 0 and reference.success and batched.success
-        assert reference.t.tobytes() == stock.t.tobytes()
-        assert reference.nfev == batched.nfev == stock.nfev
-        assert len(batched.t) == len(stock.t)
+        stock = stock_solve_ivp(fun, span, y0, method="DOP853", rtol=1e-13,
+                                atol=1e-14)
+        assert stock.status == 0
         end = stock.y[:, -1]
-        for res in (reference, batched):
-            assert np.all(np.abs(res.y[:, -1] - end)
-                          <= CFG.ode_rel_tol * np.abs(end))
-        return stock, reference, batched
-
-    def test_tableau_is_scipys(self):
-        for name in ("A", "B", "C", "E3", "E5"):
-            ours, stock = getattr(oracle, name), getattr(DOP853, name)
-            assert (ours.dtype, ours.shape) == (stock.dtype, stock.shape)
-            assert ours.tobytes() == stock.tobytes()
-        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
-            assert float(getattr(oracle, name)).hex() == \
-                float(getattr(rk, name)).hex()
-        assert oracle.N_STAGES == DOP853.n_stages
-        assert oracle.ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
-
-        # the plain-float stepper's rows are the tables' nonzero entries
-        def dense(terms, size):
-            row = np.zeros(size)
-            for j, w in terms:
-                assert type(w) is float and w != 0.0
-                row[j] = w
-            return row
-
-        n = DOP853.n_stages
-        assert not DOP853.A[0].any()
-        assert len(_StageDOP853.A_ROWS) == n - 1
-        for terms, row in zip(_StageDOP853.A_ROWS, DOP853.A[1:]):
-            assert dense(terms, n).tobytes() == row.tobytes()
-        assert sum(len(terms) for terms in _StageDOP853.A_ROWS) == 50
-        for terms, row in ((_StageDOP853.B_TERMS, DOP853.B),
-                           (_StageDOP853.E5_TERMS, DOP853.E5),
-                           (_StageDOP853.E3_TERMS, DOP853.E3)):
-            assert dense(terms, row.size).tobytes() == row.tobytes()
+        assert np.all(np.abs(res.y[:, 0] - end)
+                      <= CFG.ode_rel_tol * np.abs(end))
+        return res, stock
 
     def test_linear_sqrtwell_segment(self):
         sw = catalog("sqrtwell")
-        k2 = complex(0.3, 1e-8) ** 2
-        stock, _, _ = self.both(lambda ts: sw.VS(ts) - k2, _linear,
-                                (40.0, 1.0), [1.0 + 0.0j, 0.3j])
-        assert len(stock.t) > 10
-
-    def test_riccati_from_phase_start(self):
-        sw = catalog("sqrtwell")
-        k2 = complex(0.01, 1e-8) ** 2
-        ld, _ = _phase_logderiv(sw, 3000.0, k2, "right")
-        self.both(lambda ts: sw.VS(ts) - k2, _riccati, (3000.0, 20.0), [ld])
+        res, _ = self.both(sw, complex(0.3, 1e-8) ** 2, (40.0, 1.0),
+                           [1.0 + 0.0j, 0.3j])
+        assert res.nfev > 10 * 17
 
     def test_initial_step_within_a_short_segment(self):
-        # the first step's estimate h0 (about 0.033) exceeds the segment,
-        # so it is clamped to it, and the Euler probe at h0 moves with it:
-        # the first step (about 0.026) depends on where the probe lands
+        # a segment shorter than the structure of its solution is one
+        # panel, accepted at the first attempt
         par = catalog("parabolic")
-        k2 = complex(0.3, 1e-8) ** 2
         for span in ((1.0, 1.03), (1.03, 1.0)):
-            stock, _, _ = self.both(lambda ts: par.VS(ts) - k2, _linear, span,
-                                    [1.0 + 0.0j, 0.3j])
-            assert len(stock.t) > 2
+            res, _ = self.both(par, complex(0.3, 1e-8) ** 2, span,
+                               [1.0 + 0.0j, 0.3j])
+            assert res.nfev == 17
 
     def test_sharp_bump_rejects_steps(self):
+        bump = _Stepped(lambda z: 50.0 * np.exp(-((z - 0.3) / 0.05) ** 2))
         k2 = complex(0.5, 1e-8) ** 2
-
-        def bump(ts):
-            return 50.0 * np.exp(-((ts - 0.3) / 0.05) ** 2) - k2
-
-        stock, _, _ = self.both(bump, _linear, (-1.0, 1.0), [1.0 + 0.0j, 0.5j])
-        # f0 and the initial-step probe, then 12 per attempted step
-        attempts = (stock.nfev - 2) // 12
-        assert attempts > len(stock.t) - 1
+        self.both(bump, k2, (-1.0, 1.0), [1.0 + 0.0j, 0.5j])
+        panels = list(oracle._march(bump, np.array([k2]), -1.0, 1.0,
+                                    np.ones(1, complex), np.full(1, 0.5j),
+                                    CFG.ode_rel_tol, oracle.MAX_DEPTH))
+        # halved panels are attempted before the accepted ones
+        assert sum(points for *_, points in panels) > 17 * len(panels)
+        widths = np.abs(np.diff([-1.0] + [end for end, *_ in panels]))
+        assert widths.min() < widths.max() / 8
 
     def test_coefficient_taken_inside_the_segment(self):
         seen = []
 
-        def coeff(ts):
-            seen.extend(ts.tolist())
-            # V_S - k^2 with steps at both ends of the segment
-            return np.where((ts <= -1.0) | (ts >= 1.0), 1e6, -0.25) + 0.0j
+        def vs(z):
+            seen.extend(z.tolist())
+            # V_S with steps at both ends of the segment
+            return np.where((z <= -1.0) | (z >= 1.0), 1e6, -0.25)
 
         for span in ((-1.0, 1.0), (1.0, -1.0)):
-            res = oracle._solve(coeff, _linear, span, [1.0 + 0.0j, 0.5j], CFG)
+            res = oracle.solve_ivp(_Stepped(vs), span, np.zeros(1, complex),
+                                   np.ones(1, complex), np.full(1, 0.5j), CFG)
             # e^{i(z - z0)/2} from z0 = -1 up, or from z0 = +1 down
             z = span[1] - span[0]
             want = cmath.exp(0.5j * z)
-            assert abs(res.y[0, -1] - want) < 1e-9
+            assert abs(res.y[0, 0] - want) < 1e-9
         assert len(seen) > 24
         assert -1.0 < min(seen) and max(seen) < 1.0
 
-    def test_nan_coefficient_raises(self):
-        def coeff(ts):
-            return np.where(ts > 0.5, np.nan, 1.0) + 0.0j
-
+    @staticmethod
+    def nan_segment(vs):
         with np.errstate(invalid="ignore"), \
-                pytest.raises(NonconvergedODE, match="step size"):
-            oracle._solve(coeff, _linear, (0.0, 1.0), [1.0 + 0.0j, 0.0j], CFG)
+                pytest.raises(NonconvergedODE, match="unresolved at depth 40"):
+            oracle.solve_ivp(_Stepped(vs), (0.0, 1.0), np.zeros(1, complex),
+                             np.ones(1, complex), np.zeros(1, complex), CFG)
+
+    def test_nan_coefficient_raises(self):
+        self.nan_segment(lambda z: np.where(z > 0.5, np.nan, 1.0))
 
     def test_nan_step_size_raises(self):
-        # a NaN coefficient at the start makes the first step NaN, which
-        # no comparison with the smallest step ever stops
-        def coeff(ts):
-            return np.full(ts.shape, complex(np.nan, 0.0))
-
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonconvergedODE, match="step size is NaN"):
-            oracle._solve(coeff, _linear, (0.0, 1.0), [1.0 + 0.0j, 0.0j], CFG)
+        # NaN from the first panel on: every halving fails
+        self.nan_segment(lambda z: np.full(z.shape, np.nan))
 
     def test_every_oracle_solve_is_stage_batched(self, monkeypatch):
-        methods = []
+        import dataclasses
+        sizes, marched = [], []
         solve = oracle.solve_ivp
 
-        def recording(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return solve(*args, **kwargs)
+        def recording(*args):
+            start = len(sizes)
+            res = solve(*args)
+            marched.append((res.nfev, sizes[start:]))
+            return res
 
         monkeypatch.setattr(oracle, "solve_ivp", recording)
-        green_exact_report(catalog("sqrtwell"), 1.0, -0.5, 0.01, CFG)
-        green_exact_report(catalog("parabolic"), 1.2, 1.0, 0.3, CFG)
-        assert len(methods) > 10
-        assert set(methods) == {_StageDOP853}
+        for name, x, y, k in (("sqrtwell", 1.0, -0.5, 0.01),
+                              ("parabolic", 1.2, 1.0, 0.3)):
+            base = catalog(name)
+
+            def counting(z, vs=base.eval_VS):
+                sizes.append(np.size(z))
+                return vs(z)
+
+            green_exact_report(dataclasses.replace(base, eval_VS=counting),
+                               x, y, k, CFG)
+        assert len(marched) > 10
+        for nfev, calls in marched:
+            assert set(calls) == {17} and nfev == sum(calls)
 
 
 class TestSolverConfig:
@@ -850,17 +823,16 @@ class TestGrid:
         ks = [0.05, 0.2, 0.8]
         grid = green_exact_grid(sw, 1.0, -0.5, ks, CFG)
         singles = [green_exact_report(sw, 1.0, -0.5, k, CFG)[1] for k in ks]
-        # each k enters the sweep at its own cutoff and switches at its own
-        # switch point, as it does alone
-        assert singles[0]["tail_switch_right"] > singles[1]["tail_switch_right"]
-        keys = ("cutoff_left", "cutoff_right", "tail_switch_left",
-                "tail_switch_right")
+        # each k enters the sweep at its own cutoff, as it does alone
+        assert singles[0]["cutoff_right"] > singles[1]["cutoff_right"]
+        keys = ("cutoff_left", "cutoff_right", "boundary_error_left",
+                "boundary_error_right")
         for (_, d), single in zip(grid, singles):
             assert [d[key] for key in keys] == [single[key] for key in keys]
 
     @staticmethod
     def grid_work(monkeypatch, model, x, y, ks):
-        """The RHS evaluations of every ODE solve of one grid."""
+        """The V_S points of every segment's march of one grid."""
         nfev = []
         solve = oracle.solve_ivp
 
@@ -875,20 +847,20 @@ class TestGrid:
         return sum(nfev)
 
     def test_parabolic_work_bound(self, monkeypatch):
-        # one k at a time, the 40-k grid took about 40x its dearest k
+        # one k at a time, the 40-k grid takes about 40x its dearest k
         par = catalog("parabolic")
         ks = np.linspace(0.05, 1.2, 40)
         dearest = max(green_exact_report(par, 1.2, 1.0, k, CFG)[1]["rhs_evals"]
                       for k in ks)
         work = self.grid_work(monkeypatch, par, 1.2, 1.0, ks)
         assert 0 < work <= 2 * dearest
-        # one system from the outermost cutoff in took 3,380: entering each
-        # k at its own cutoff adds a stop, not work
+        # one DOP853 system from the outermost cutoff in took 3,380
+        # evaluations: entering each k at its own cutoff adds a stop, not work
         assert work <= 1.01 * 3380
 
     def test_power_tail_grid_beats_the_per_k_loop(self, monkeypatch):
-        # run linearly from the smallest k's switch point (z = 4990), the
-        # grid took 30,542, about as much as one k at a time
+        # run linearly by DOP853 from the smallest k's Riccati switch point
+        # (z = 4990), the grid took 30,542, about as much as one k at a time
         model = catalog("logstep", alpha=1.5)
         ks = np.geomspace(0.001, 0.1, 9)
         loop = sum(green_exact_report(model, 1.5, 0.8, k, CFG)[1]["rhs_evals"]
@@ -896,59 +868,43 @@ class TestGrid:
         assert 0 < self.grid_work(monkeypatch, model, 1.5, 0.8, ks) <= loop / 2
 
     def test_sqrtwell_grid_work_bound(self, monkeypatch):
-        # per-k Riccati tails in to the shared start took 151,304
+        # per-k DOP853 Riccati tails in to the shared start took 151,304
         work = self.grid_work(monkeypatch, catalog("sqrtwell"), 1.0, -0.5,
                               np.linspace(0.05, 1.0, 20))
         assert 0 < work <= 151_304 / 3
 
     def test_every_grid_solve_goes_through_solve_ivp(self, monkeypatch):
-        methods = []
+        active = []
         solve = oracle.solve_ivp
 
-        def recording(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return solve(*args, **kwargs)
+        def recording(model, span, k2s, *args):
+            active.append(len(k2s))
+            return solve(model, span, k2s, *args)
 
         monkeypatch.setattr(oracle, "solve_ivp", recording)
         # the outermost k alone, then the others as they enter
         green_exact_grid(catalog("sqrtwell"), 1.0, -0.5, [0.05, 0.2, 0.8], CFG)
-        assert methods.count(_GridDOP853) > 2
-        assert set(methods) == {_StageDOP853, _GridDOP853}
+        assert active.count(3) > 2
+        assert set(active) == {1, 2, 3}
 
     def test_error_norm_is_the_worst_k(self):
-        # DOP853's norm of each k's own components alone, its u or its
-        # (psi, psi') pair, then the largest
-        rng = np.random.default_rng(3)
-        h = 0.3
-        for riccati, pairs in ((0, 4), (2, 3), (3, 0)):
-            size = riccati + 2 * pairs
-            y0 = rng.normal(size=size) + 1j * rng.normal(size=size)
-            solver = _GridDOP853(
-                lambda t, y: y, 0.0, y0, 1.0,
-                coeff=lambda ts: np.ones((ts.size, riccati + pairs)),
-                stage=oracle._grid_stage(riccati), riccati=riccati,
-                rtol=CFG.ode_rel_tol, atol=oracle.ODE_ABS_TOL)
-            K = rng.normal(size=(13, size)) + 1j * rng.normal(size=(13, size))
-            scale = rng.uniform(0.5, 2.0, size)
-            columns = [[i] for i in range(riccati)] + \
-                [[riccati + i, riccati + pairs + i] for i in range(pairs)]
+        # a panel is accepted only where every k passes its tail test: each
+        # k of a pair ends as close to a tight march as it does alone
+        sw = catalog("sqrtwell")
+        k2s = np.array([0.05, 0.8], complex) ** 2
+        start = (np.ones(2, complex), 1j * np.sqrt(k2s))
 
-            def alone(K):
-                return [DOP853(lambda t, y: y, 0.0, y0[c], 1.0)
-                        ._estimate_error_norm(K[:, c], h, scale[c])
-                        for c in columns]
+        def march(i, cfg=CFG):
+            return oracle.solve_ivp(sw, (400.0, 1.0), k2s[i], start[0][i],
+                                    start[1][i], cfg).y
 
-            want = max(alone(K))
-            assert abs(solver._estimate_error_norm(K, h, scale) - want) \
-                <= 1e-14 * want
-            # each k in turn made the worst: its norm scales with its stages
-            for j, c in enumerate(columns):
-                worse = K.copy()
-                worse[:, c] *= 1e3
-                want = alone(worse)[j]
-                assert want == max(alone(worse))
-                assert abs(solver._estimate_error_norm(worse, h, scale) - want) \
-                    <= 1e-14 * want
+        pair = march(slice(None))
+        tight = march(slice(None), SolverConfig(ode_rel_tol=1e-13))
+        for i in range(2):
+            alone = march(slice(i, i + 1))[:, 0]
+            assert np.all(np.abs(pair[:, i] - tight[:, i])
+                          <= np.maximum(2 * np.abs(alone - tight[:, i]),
+                                        1e-12 * np.abs(tight[:, i])))
 
 
 class TestGridErrors:
@@ -1018,10 +974,22 @@ class TestGridErrors:
     def test_positions_before_wavenumbers(self, ks):
         self.both_raise(InvalidSpec, catalog("free"), math.nan, 0.0, ks)
 
+    @staticmethod
+    def nan_panels(monkeypatch, batched_only):
+        """Make the march fail: NaN panels, for every k or in batches only."""
+        panel = oracle._march_panel
+
+        def failing(model, k2s, *args):
+            psi, dpsi = panel(model, k2s, *args)
+            if len(k2s) > 1 or not batched_only:
+                psi = psi * np.nan
+            return psi, dpsi
+
+        monkeypatch.setattr(oracle, "_march_panel", failing)
+
     def test_one_k_failure_is_not_retried(self, monkeypatch):
-        # one k has no batch to fall back from: its solver error is raised
-        monkeypatch.setattr(_StageDOP853, "_estimate_error_norm",
-                            lambda self, K, h, scale: 2.0)
+        # one k has no batch to fall back from: its march's error is raised
+        self.nan_panels(monkeypatch, batched_only=False)
         calls = []
         solve_green = oracle._solve_green
 
@@ -1035,8 +1003,7 @@ class TestGridErrors:
         assert len(calls) == 1
 
     def test_failed_batch_falls_back_to_the_per_k_loop(self, monkeypatch):
-        monkeypatch.setattr(_GridDOP853, "_estimate_error_norm",
-                            lambda self, K, h, scale: 2.0)
+        self.nan_panels(monkeypatch, batched_only=True)
         par = catalog("parabolic")
         ks = [0.3, 0.6, 0.9]
         assert green_exact_grid(par, 1.2, 1.0, ks, CFG) == \
