@@ -8,23 +8,30 @@ Evaluation locates every point's panel with one ``searchsorted`` and runs
 one Clenshaw recurrence over all points; antiderivatives integrate every
 panel with one ``chebint`` along the coefficient axis.  Antiderivatives of
 the interpolant are exact and evaluable anywhere, which is what lets nested
-ordered integrals be computed one cumulative pass at a time.
+ordered integrals be computed one cumulative pass at a time.  Two constant
+17x17 matrices act on node values: ``CHEB_TRANSFORM``, the DCT-I, turns a
+stack of node-value rows, real or complex, into their Chebyshev series in
+one product, and ``CUMULATIVE`` integrates them from the panel's left end.
 
 ``build_chebfun`` refines breadth-first: every panel still pending at one
 depth is sampled in a single call of the integrand and transformed in a
 single DCT-I.  A panel is split when its trailing Chebyshev coefficients
 fail to fall below the requested tolerance relative to the panel scale,
-or when two probe points off the nodes disagree with the interpolant.
+or when two probe points off the nodes disagree with the interpolant.  A
+probe point that disagrees is sampled again by the child that holds it,
+and by that child's children, until a panel holding it is accepted, so a
+feature only a probe saw is not lost when its panel splits.
 Both thresholds are floored at the smallest normal double: below it a
 value has no relative precision left, and halving the panel cannot help.
 A panel whose tail stops shrinking is accepted as rounding noise only
 where that tail is already small against generation 0's scale (the
 largest coefficient of the initial panels); elsewhere it is
 under-resolved and is split further.  So a decision reads the panel
-itself (its ends, depth, parent tail and stall count) and one number
-fixed before any panel is split, never its neighbours or the order in
-which panels are visited, and the breadth-first pass keeps exactly the
-leaves, and the sample points, of a depth-first recursion.
+itself (its ends, depth, parent tail, stall count and the probe points
+handed down to it) and one number fixed before any panel is split, never
+its neighbours or the order in which panels are visited, and the
+breadth-first pass keeps exactly the leaves, and the sample points, of a
+depth-first recursion.
 """
 
 from __future__ import annotations
@@ -65,12 +72,15 @@ def cheb_coeffs(values: np.ndarray) -> np.ndarray:
     return c[..., : n + 1]
 
 
+#: the DCT-I as a matrix: row i of values @ CHEB_TRANSFORM is the
+#: Chebyshev series of row i of the node values, as ``cheb_coeffs`` gives it
+#: up to rounding (a complex stack transforms its two parts at once)
+CHEB_TRANSFORM = cheb_coeffs(np.eye(DEGREE + 1))
 #: the cumulative integral from t = -1 at the Lobatto nodes: row i of
 #: CUMULATIVE @ values is the integral from -1 to _NODES[i] of the
 #: interpolant of the values (``chebint`` of the cardinal functions)
 CUMULATIVE = _cheb.chebval(
-    _NODES,
-    _cheb.chebint(cheb_coeffs(np.eye(DEGREE + 1)), lbnd=-1, axis=1).T).T
+    _NODES, _cheb.chebint(CHEB_TRANSFORM, lbnd=-1, axis=1).T).T
 
 
 def _clenshaw(coefs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -94,7 +104,11 @@ def _clenshaw(coefs: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _sample(f, a, b, t):
     """``f`` at the points t (on [-1, 1]) of every panel [a, b], one call."""
     x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
-    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    return _finite(np.asarray(f(x.ravel()), dtype=float).reshape(x.shape), a, b)
+
+
+def _finite(vals, a, b):
+    """``vals``, one row per panel [a, b]; raises where a row is not finite."""
     bad = ~np.all(np.isfinite(vals), axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -164,6 +178,33 @@ class PiecewiseChebFun:
         return float(sum((0.5 * np.diff(self.edges) * p).tolist()))
 
 
+def _recheck(f, a, b, coef, floor, ok, degenerate, tail, suspects):
+    """Sample each suspect point again in the pending panel that holds it,
+    where that panel has passed its tail test, and reject the panel (in
+    ``ok``, raising ``tail`` as a probe does) where its interpolant misses
+    the sample.  Returns the suspects that some pending panel still holds:
+    a point leaves once a panel holding it is accepted.
+
+    The pending panels are disjoint and in increasing order, so one
+    ``searchsorted`` finds the panel of every point."""
+    held = np.searchsorted(a, suspects, side="right") - 1
+    inside = (held >= 0) & (suspects <= b[np.maximum(held, 0)])
+    suspects, held = suspects[inside], held[inside]
+    check = ok[held] & ~degenerate[held]
+    if check.any():
+        rows, pts = held[check], suspects[check]
+        vals = _finite(np.asarray(f(pts), dtype=float)[:, None],
+                       a[rows], b[rows])[:, 0]
+        t = (2.0 * pts - a[rows] - b[rows]) / (b[rows] - a[rows])
+        miss = np.abs(vals - _clenshaw(coef, rows, t))
+        resid = np.zeros(a.size)
+        np.maximum.at(resid, rows, miss)
+        # rows repeats a panel that holds several points; each write is alike
+        ok[rows] = resid[rows] <= 10.0 * floor[rows]
+        tail[rows] = np.maximum(tail[rows], resid[rows] / 10.0)
+    return suspects
+
+
 def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> PiecewiseChebFun:
     """Adaptively fit ``f`` on [edges[0], edges[-1]] with mandatory breakpoints.
 
@@ -186,6 +227,8 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
     prev_tail = np.full(len(a), math.inf)
     stalls = np.zeros(len(a), dtype=int)
     leaves_a, leaves_b, leaves_coef, unconverged = [], [], [], []
+    # the probe points that rejected a panel, in increasing order
+    suspects = np.empty(0)
     leaves = depth = 0
     while a.size:
         coef = cheb_coeffs(_sample(f, a, b, _NODES))
@@ -196,15 +239,25 @@ def build_chebfun(f, edges, rel_tol=1e-12, abs_floor=0.0, max_depth=40) -> Piece
         degenerate = (b - a) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         floor = np.maximum(rel_tol * scale, _TINY)
         ok = (tail <= floor) | degenerate
+        if suspects.size:
+            suspects = _recheck(f, a, b, coef, floor, ok, degenerate, tail,
+                                suspects)
         probe = np.flatnonzero(ok & ~degenerate & (scale > 0.0))
         if probe.size:
             # guard against deceptive node agreement
             rows = np.repeat(probe, len(_PROBES))
             fit = _clenshaw(coef, rows, np.tile(_PROBES, probe.size))
-            resid = np.max(np.abs(_sample(f, a[probe], b[probe], _PROBES)
-                                  - fit.reshape(-1, len(_PROBES))), axis=1)
+            miss = np.abs(_sample(f, a[probe], b[probe], _PROBES)
+                          - fit.reshape(-1, len(_PROBES)))
+            resid = np.max(miss, axis=1)
             ok[probe] = resid <= 10.0 * floor[probe]
             tail[probe] = np.maximum(tail[probe], resid / 10.0)
+            failed = miss > 10.0 * floor[probe][:, None]
+            if failed.any():
+                # the same points as _sample's, for the children to sample
+                at = (0.5 * (a + b)[probe][:, None]
+                      + 0.5 * (b - a)[probe][:, None] * _PROBES)
+                suspects = np.union1d(suspects, at[failed])
         # rounding noise does not improve under subdivision while smooth
         # structure improves spectrally, so a tail that shrinks by less than
         # a factor of ~3 per split has hit the double-precision floor of the

@@ -18,12 +18,14 @@ equation is solved as a Volterra equation on 17-node Chebyshev panels by
 spectral integration (Greengard, SIAM J. Numer. Anal. 28, 1991), each panel
 one linear solve per wavenumber, and a panel is halved while the trailing
 Chebyshev coefficients of psi or psi' exceed the tolerance (the oracle's
-``ode_rel_tol``) times that function's largest.  V_S is evaluated once per
-panel attempt, at its nodes, for every wavenumber the panel carries, and it
-is taken from inside the panel, never from across the breakpoint a segment
-ends on.  Every request takes one path: a grid of k runs one sweep per
-side, inward from the outermost cutoff, which each k enters at its own
-cutoff; a single sample is the grid of one k.
+``ode_rel_tol``) times that function's largest.  One matrix product, the
+node values of psi and psi' stacked for every active wavenumber times the
+DCT-I matrix ``CHEB_TRANSFORM``, gives all those coefficients.  V_S is
+evaluated once per panel attempt, at its nodes, for every wavenumber the
+panel carries, and it is taken from inside the panel, never from across the
+breakpoint a segment ends on.  Every request takes one path: a grid of k
+runs one sweep per side, inward from the outermost cutoff, which each k
+enters at its own cutoff; a single sample is the grid of one k.
 
 A real k is solved as it is, on the real axis; one whose square is a
 finite limit of V_S (a threshold) is refused.
@@ -45,7 +47,8 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import _NODES, CUMULATIVE, PiecewiseChebFun, cheb_coeffs
+from ._quad import (_NODES, CHEB_TRANSFORM, CUMULATIVE, PiecewiseChebFun,
+                    cheb_coeffs)
 from .brackets import QuadratureConfig
 from .errors import (
     BesselNonconvergence,
@@ -234,6 +237,11 @@ def _auto_cutoff(model, inner: float, k2: complex, side: str,
 
 #: the double integral from t = -1 at the Lobatto nodes
 _CUMULATIVE2 = CUMULATIVE @ CUMULATIVE
+#: what every panel attempt uses: the nodes shifted to t + 1 = 0 at the
+#: panel's start, the identity, and CUMULATIVE's transpose laid out in rows
+_T1 = _NODES + 1.0
+_EYE = np.eye(_NODES.size)
+_CUMULATIVE_T = np.ascontiguousarray(CUMULATIVE.T)
 
 
 def _march_panel(model, k2s, a, b, psi_a, dpsi_a):
@@ -248,15 +256,14 @@ def _march_panel(model, k2s, a, b, psi_a, dpsi_a):
     panel: a segment ends on a breakpoint of V_S, and its last node would
     otherwise take V_S from across the discontinuity."""
     h = 0.5 * (b - a)
-    t1 = _NODES + 1.0
     lo, hi = sorted((math.nextafter(a, b), math.nextafter(b, a)))
-    q = model.VS(np.clip(a + h * t1, lo, hi)) - k2s[:, None]
+    q = model.VS(np.clip(a + h * _T1, lo, hi)) - k2s[:, None]
     # the right-hand sides as a (k, 17, 1) stack, which numpy 1.24 and 2.x
     # both read as k vectors
-    rhs = psi_a[:, None] + dpsi_a[:, None] * h * t1
-    lhs = np.eye(t1.size) - (h * h) * _CUMULATIVE2 * q[:, None, :]
+    rhs = psi_a[:, None] + dpsi_a[:, None] * h * _T1
+    lhs = _EYE - (h * h) * _CUMULATIVE2 * q[:, None, :]
     psi = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    return psi, dpsi_a[:, None] + h * ((q * psi) @ CUMULATIVE.T)
+    return psi, dpsi_a[:, None] + h * ((q * psi) @ _CUMULATIVE_T)
 
 
 def _march(model, k2s, a, b, psi, dpsi, rel_tol, max_depth):
@@ -266,11 +273,12 @@ def _march(model, k2s, a, b, psi, dpsi, rel_tol, max_depth):
     gives them and the points of the panel's rejected attempts counted.
 
     The first panel reaches b; a panel is halved while, for any k, the
-    trailing two Chebyshev coefficients of psi or of psi' (real and
-    imaginary parts together) exceed ``rel_tol`` times that function's
-    largest, the tail test of ``build_chebfun``, and one that fails at
-    ``max_depth`` raises ToleranceNotMet.  psi' is tested too because the
-    Wronskian and the drift psi'/psi are read from it."""
+    larger modulus of the two trailing Chebyshev coefficients of psi or of
+    psi' exceeds ``rel_tol`` times the largest modulus of that function's
+    coefficients (a NaN fails), and one that fails at ``max_depth`` raises
+    ToleranceNotMet.  Unlike ``build_chebfun`` the threshold has no
+    absolute floor and no probe points check the panel.  psi' is tested too
+    because the Wronskian and the drift psi'/psi are read from it."""
     here, points = a, 0
     # the ends still to reach from here, with their depths, nearest last
     pending = [(b, 0)]
@@ -278,10 +286,11 @@ def _march(model, k2s, a, b, psi, dpsi, rel_tol, max_depth):
         end, depth = pending[-1]
         p, d = _march_panel(model, k2s, here, end, psi, dpsi)
         points += p.shape[-1]
-        values = np.stack((p, d), axis=1)
-        coef = np.hypot(cheb_coeffs(values.real), cheb_coeffs(values.imag))
-        if not np.all(np.max(coef[..., -2:], axis=-1)
-                      <= rel_tol * np.max(coef, axis=-1)):
+        # the series of psi and psi' of every k, one row each; the modulus
+        # of a complex coefficient is the hypot of its two parts
+        coef = np.abs(np.concatenate((p, d)) @ CHEB_TRANSFORM)
+        if not np.all(np.max(coef[:, -2:], axis=1)
+                      <= rel_tol * np.max(coef, axis=1)):
             if depth == max_depth:
                 raise ToleranceNotMet(
                     f"psi'' = (V_S - k^2) psi unresolved at depth {depth} "

@@ -740,6 +740,20 @@ class TestStageBatched:
         for nfev, calls in marched:
             assert set(calls) == {17} and nfev == sum(calls)
 
+    @pytest.mark.parametrize("name,params,x,y,k,points", [
+        ("sqrtwell", {}, 1.0, -0.5, 0.006, 3162),
+        ("sqrtwell", {}, 1.0, -0.5, 0.75, 1020),
+        ("logstep", {"alpha": 1.5}, 1.5, 0.8, 0.02, 952),
+        ("parabolic", {}, 1.2, 1.0, 0.3, 748),
+        ("barrier", {"a": 1.0}, 0.5, -0.3, 0.3, 204),
+        ("logcosh", {}, 1.5, 0.4, 0.01, 442),
+    ])
+    def test_panel_partition_is_pinned(self, name, params, x, y, k, points):
+        # the V_S points of a default sample count its panel attempts, so a
+        # tail test that accepts or rejects a different panel moves them
+        _, diag = green_exact_report(catalog(name, **params), x, y, k, CFG)
+        assert diag["rhs_evals"] == points
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("name,value", [
