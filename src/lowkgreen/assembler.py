@@ -24,7 +24,7 @@ import numpy as np
 
 from ._quad import build_chebfun
 from .brackets import BracketKind, BracketSpec, QuadratureConfig, eval_bracket
-from .coeffgen import Family, Side, family_coefficients, gamma_series
+from .coeffgen import Family, Side, family_coefficients, gamma_coefficients
 from .errors import (
     BranchAmbiguity,
     ExceptionalCase,
@@ -136,47 +136,6 @@ def _needed_s_order(case: CaseTag, n_target: int) -> int:
     return m
 
 
-class _GammaField:
-    """gamma_n as functions of position, from the odd b~ coefficients.
-
-    Every gamma-bearing order reads the same inversion, so the last one is
-    kept: asking for several orders at the same points inverts once.
-    """
-
-    def __init__(self, model: PotentialModel, cfg: QuadratureConfig,
-                 lo: float, hi: float, side: Side, max_order: int):
-        self.max_order = max_order
-        m_top = max_order + 2
-        if m_top % 2 == 0:
-            m_top += 1
-        self.m_top = m_top
-        self.fns = family_coefficients(model, cfg, lo, hi, Family.BTILDE,
-                                       side, m_top)
-        self._last = (None, None)  # (z bytes, orders dict)
-
-    def at(self, z):
-        """dict order -> ndarray of gamma_n over z (orders -1 .. max_order).
-
-        The arrays are the kept ones: read them, do not write to them."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        key = z.tobytes()
-        if key == self._last[0]:
-            return self._last[1]
-        vals = {m: fn(z) for m, fn in self.fns.items()}
-        orders = range(-1, self.max_order + 1)
-        out = {n: np.zeros_like(z) for n in orders}
-        for i in range(z.size):
-            coeffs = []
-            for m in range(1, self.m_top + 2):
-                coeffs.append(vals[m][i] if m % 2 == 1 else 0.0)
-            series = LaurentSeries(1, coeffs, trunc=self.m_top + 1)
-            g = gamma_series(series)
-            for n in orders:
-                out[n][i] = g.coeff_or_zero(n).real
-        self._last = (key, out)
-        return out
-
-
 def _summed(fns):
     """The sum of coefficient functions, added in order onto zeros."""
     def s(z):
@@ -261,12 +220,9 @@ def _case_engine(model: PotentialModel, case: CaseTag, cfg: QuadratureConfig,
     """The classified route's engine for positions in [lo, hi]."""
     parts = {}
     for family, side in CASE_FAMILIES[case]:
-        if family is Family.BTILDE:
-            gamma = _GammaField(model, cfg, lo, hi, side, s_top)
-            fns = {n: (lambda z, n=n, gamma=gamma: gamma.at(z)[n])
-                   for n in family_orders(family, s_top)}
-        else:
-            fns = family_coefficients(model, cfg, lo, hi, family, side, s_top)
+        fns = (gamma_coefficients(model, cfg, lo, hi, side, s_top)
+               if family is Family.BTILDE else
+               family_coefficients(model, cfg, lo, hi, family, side, s_top))
         for n, fn in fns.items():
             parts.setdefault(n, []).append(fn)
     return _SeriesEngine({n: _summed(fns) for n, fns in parts.items()},

@@ -81,9 +81,6 @@ class BracketSpec:
         and the lower one finite, so the lower end is the open one."""
         return math.isinf(self.upper) and not math.isinf(self.lower)
 
-    def sign_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -202,17 +199,24 @@ def _clip_overflow(weights, anchor: float, cut: float) -> float:
 
     Where one factor grows its partner decays reciprocally, so at the
     overflow boundary of the growing factor the dropped tail is far below
-    any tolerance.
+    any tolerance.  A cut that still leaves some weight infinite or NaN
+    when the pulls run out raises DivergentTail.
     """
-    with np.errstate(over="ignore"):
+    def sizes(c):
+        return [abs(float(np.asarray(w(np.array([c])))[0])) for w in weights]
+
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(400):
-            vals = [abs(float(np.asarray(w(np.array([cut])))[0])) for w in weights]
-            if all(v < 1e280 for v in vals):
+            if all(v < 1e280 for v in sizes(cut)):
                 return cut
             cut = anchor + 0.95 * (cut - anchor)
             if abs(cut - anchor) < 0.25:
-                return cut
-    return cut
+                break
+        if all(np.isfinite(v) for v in sizes(cut)):
+            return cut
+    raise DivergentTail(
+        f"a slot weight overflows at the tail cut {cut:.3g}: the tail is "
+        "too slow for the tolerance")
 
 
 def _ladder(near: float, far: float) -> list:

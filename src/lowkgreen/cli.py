@@ -85,10 +85,9 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _emit_structured(args, payload, default_format="json", comment=None):
+def _emit_structured(args, payload, comment=None):
     """Structured results default to JSON; --format csv flattens them."""
-    chosen = args.format or default_format
-    if chosen == "json":
+    if (args.format or "json") == "json":
         _emit(args, json.dumps(payload, indent=2, default=str) + "\n")
         return
     buf = io.StringIO()

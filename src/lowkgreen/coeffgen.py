@@ -8,8 +8,8 @@ Three coefficient families drive every expansion:
 * the b-family, for a side where V diverges to +infinity: plain brackets
   over balanced sign sequences weighted by P^(1)/2 (odd orders only);
 * the b~-family, the b-family with every potential sign flipped, for a side
-  where V diverges to -infinity.  Its reciprocal series yields the gamma
-  coefficients through Laurent inversion.
+  where V diverges to -infinity.  The reciprocal of its series gives the
+  gamma coefficients that such a side feeds (``gamma_coefficients``).
 
 Tables are generated from the product formula for every order; the printed
 low-order tables serve as golden tests, not as the source.  Coefficients
@@ -22,6 +22,11 @@ signs still to come, so one partial-sum recursion over (level, state)
 most L(L+1)/2 fits for L levels.  ``CoefficientEvaluator`` evaluates a
 table term by term, one cumulative chain per sign sequence; it serves the
 term tables and is the reference the recursion is tested against.
+
+The gamma coefficients are computed here only: ``gamma_coefficients`` runs
+the reciprocal's recursion on whole arrays of b~ values, one step per
+order, with no Laurent series built per position.  ``gamma_series`` inverts
+the series at one position and is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from .brackets import (BracketKind, BracketSpec, QuadratureConfig, build_chain,
                        build_states)
 from .errors import BadParameter, InvalidSpec, ZeroLeadingCoefficient
-from .laurent import LaurentSeries, ls_invert
+from .laurent import ZERO_TOL, LaurentSeries, ls_invert
 from .potential import EndpointKind, PotentialModel
 
 #: generation cap; the term count at the cap is C(10, 5) = 252
@@ -249,6 +254,41 @@ def family_coefficients(model: PotentialModel, cfg: QuadratureConfig,
     return {n: coefficient(-0.5 * np.exp(-limit), None) if n == 0
             else coefficient(*table[n - 1][0])
             for n in orders}
+
+
+def gamma_coefficients(model: PotentialModel, cfg: QuadratureConfig,
+                       lo: float, hi: float, side: Side, top: int) -> dict:
+    """{order: gamma function} for the odd orders -1 .. ``top`` of ``side``.
+
+    With w = ik the b~ series is 4 sum_i b~_{2i+1} w^{2i+1}
+    = l w (1 + sum_i u_i w^{2i}), where l = 4 b~_1 and u_i = b~_{2i+1}/b~_1.
+    Its reciprocal is sum_j g_j w^{2j-1} with g_0 = 1/l and
+    g_j = -sum_{i=1..j} u_i g_{j-i}, so gamma_{2j-1} = g_j.  Each function
+    runs that recursion over all its positions at once; like
+    ``gamma_series`` it raises ``ZeroLeadingCoefficient`` where |l| is below
+    ``laurent.ZERO_TOL``.  The contract is that of ``family_coefficients``.
+    """
+    # b~ through top + 2, rounded up to odd
+    btilde = family_coefficients(model, cfg, lo, hi, Family.BTILDE, side,
+                                 (top + 2) | 1)
+
+    def gamma(j):
+        def fn(z):
+            b = [btilde[n](z) for n in range(1, 2 * j + 2, 2)]
+            lead = 4.0 * b[0]
+            small = np.abs(lead) < ZERO_TOL
+            if np.any(small):
+                raise ZeroLeadingCoefficient(
+                    f"the leading coefficient 4 b~_1 is below {ZERO_TOL:g} "
+                    f"at z={np.asarray(z)[small].flat[0]:g}")
+            u = [bn / b[0] for bn in b[1:]]
+            g = [1.0 / lead]
+            for k in range(1, j + 1):
+                g.append(-sum(u[i] * g[k - 1 - i] for i in range(k)))
+            return g[j]
+        return fn
+
+    return {2 * j - 1: gamma(j) for j in range((top + 3) // 2)}
 
 
 class CoefficientEvaluator:

@@ -29,8 +29,7 @@ from .errors import (
 #: absolute tolerance below which a leading coefficient counts as zero
 ZERO_TOL = 1e-13
 
-#: relative orders produced when expanding an exact polynomial without an
-#: explicit ``order`` argument
+#: relative orders produced when expanding an exact polynomial
 DEFAULT_TERMS = 12
 
 
@@ -141,12 +140,6 @@ class LaurentSeries:
             return 0.0 + 0.0j
         return self.coeff(order)
 
-    def chop(self, tol: float = ZERO_TOL) -> "LaurentSeries":
-        """Zero out coefficients with magnitude below tol (absolute)."""
-        arr = self.coeffs.copy()
-        arr[np.abs(arr) < tol] = 0.0
-        return LaurentSeries(self.min_order, arr, trunc=self.trunc)
-
     def real_part_series(self) -> "LaurentSeries":
         return LaurentSeries(self.min_order, self.coeffs.real.astype(complex),
                              trunc=self.trunc)
@@ -248,28 +241,24 @@ def _leading(a: LaurentSeries):
     return v, complex(a.coeffs[0])
 
 
-def _target_rel(a: LaurentSeries, lost: int, order, result_min: int) -> int:
+def _target_rel(a: LaurentSeries, lost: int, result_min: int) -> int:
     """Relative length of a series-expansion result.
 
     ``lost`` is how many orders of reliability the operation destroys
-    (e.g. invert loses 2*val).  ``order`` optionally caps the result's
-    max_order; exact inputs default to DEFAULT_TERMS relative orders.
+    (e.g. invert loses 2*val); exact inputs give DEFAULT_TERMS relative
+    orders.
     """
-    if a.trunc is not None:
-        t = a.trunc - lost
-        if order is not None:
-            t = min(t, order)
-    else:
-        t = order if order is not None else result_min + DEFAULT_TERMS - 1
-    return t - result_min
+    if a.trunc is None:
+        return DEFAULT_TERMS - 1
+    return a.trunc - lost - result_min
 
 
-def ls_invert(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
+def ls_invert(a: LaurentSeries) -> LaurentSeries:
     """Multiplicative inverse: ls_mul(a, result) = 1 up to the reliable order."""
     v, c0 = _leading(a)
     if a.is_exact and len(a.coeffs) == 1:
         return LaurentSeries.monomial(1.0 / c0, -v)
-    n_rel = _target_rel(a, 2 * v, order, -v)
+    n_rel = _target_rel(a, 2 * v, -v)
     if n_rel < 0:
         return LaurentSeries(-v, [0.0], trunc=-v + n_rel)
     u = np.zeros(n_rel + 1, complex)
@@ -282,7 +271,7 @@ def ls_invert(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     return LaurentSeries(-v, b, trunc=-v + n_rel)
 
 
-def ls_sqrt(a: LaurentSeries, branch: int = 1, order: int | None = None) -> LaurentSeries:
+def ls_sqrt(a: LaurentSeries, branch: int = 1) -> LaurentSeries:
     """Square root; ``branch`` (+1/-1) selects the sign of the leading term."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -293,7 +282,7 @@ def ls_sqrt(a: LaurentSeries, branch: int = 1, order: int | None = None) -> Laur
     if a.is_exact and len(a.coeffs) == 1:
         return LaurentSeries.monomial(lead, v // 2)
     half = v // 2
-    n_rel = _target_rel(a, v - half, order, half)
+    n_rel = _target_rel(a, v - half, half)
     if n_rel < 0:
         return LaurentSeries(half, [0.0], trunc=half + n_rel)
     u = np.zeros(n_rel + 1, complex)
@@ -307,7 +296,7 @@ def ls_sqrt(a: LaurentSeries, branch: int = 1, order: int | None = None) -> Laur
     return LaurentSeries(half, lead * s, trunc=half + n_rel)
 
 
-def ls_exp(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
+def ls_exp(a: LaurentSeries) -> LaurentSeries:
     """Exponential of a series with min_order >= 0."""
     if a.is_zero:
         t = a.trunc
@@ -319,7 +308,7 @@ def ls_exp(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     scale = np.exp(c0)
     if a.is_exact and a.max_order == 0:
         return LaurentSeries.constant(scale)
-    n_rel = _target_rel(a, 0, order, 0)
+    n_rel = _target_rel(a, 0, 0)
     if n_rel < 0:
         return LaurentSeries(0, [0.0], trunc=n_rel)
     f = np.zeros(n_rel + 1, complex)
@@ -332,7 +321,7 @@ def ls_exp(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     return LaurentSeries(0, scale * b, trunc=n_rel)
 
 
-def ls_log(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
+def ls_log(a: LaurentSeries) -> LaurentSeries:
     """Logarithm after factoring out the leading power of (ik).
 
     ls_exp(ls_log(a)) reproduces ``a * (ik)**(-val)``; the constant term of
@@ -341,7 +330,7 @@ def ls_log(a: LaurentSeries, order: int | None = None) -> LaurentSeries:
     v, c0 = _leading(a)
     if a.is_exact and len(a.coeffs) == 1:
         return LaurentSeries.constant(np.log(complex(c0)))
-    n_rel = _target_rel(a, v, order, 0)
+    n_rel = _target_rel(a, v, 0)
     if n_rel < 0:
         return LaurentSeries(0, [0.0], trunc=n_rel)
     u = np.zeros(n_rel + 1, complex)

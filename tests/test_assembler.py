@@ -272,24 +272,6 @@ class TestStructure:
         assert s.is_zero and s.trunc == N
         assert q_values(m, 1.2, 0.3, N, CFG) == {}
 
-    def test_gamma_inverted_once_per_point(self, monkeypatch):
-        import lowkgreen.assembler as asm
-        calls = []
-
-        def counting(series):
-            calls.append(series)
-            return real_gamma(series)
-
-        real_gamma = asm.gamma_series
-        m = catalog("sqrtwell")
-        want = s_series(m, 1.0, 2, CFG)
-        monkeypatch.setattr(asm, "gamma_series", counting)
-        got = s_series(m, 1.0, 2, CFG)
-        # the gamma-bearing orders -1 and 1 read one inversion
-        assert len(calls) == 1
-        assert got.min_order == want.min_order and got.trunc == want.trunc
-        assert np.array_equal(got.coeffs, want.coeffs)
-
 
 def barrier_g0_g1(a, x, y):
     """The printed order-0 and order-1 coefficients of the square barrier."""

@@ -17,7 +17,7 @@ from lowkgreen.brackets import (
 )
 from lowkgreen.cli import main
 from lowkgreen.coeffgen import Family, Side
-from lowkgreen.errors import DivergentTail, InvalidSpec, LowkGreenError
+from lowkgreen.errors import DivergentTail, InvalidSpec
 from lowkgreen.potential import (
     EXPONENTIAL,
     Discontinuity,
@@ -125,17 +125,18 @@ class TestElementary:
         with pytest.raises(DivergentTail):
             eval_bracket(plain((-1,), -INF, 0.0), free, CFG)
 
-    # alpha just above an integer leaves a tail whose cut the simplex factor
-    # |z|^(depth - 1) overflows at the top valid order: each of these raised
-    # a bare OverflowError from _find_cut
-    @pytest.mark.parametrize("alpha", [5.1, 7.1, 7.2, 9.1, 9.2, 9.3, 11.1,
-                                       11.2, 11.3, 11.4])
+    # alpha just above an integer leaves a tail too slow for the tolerance
+    # at the top valid order.  For most of these the simplex factor
+    # |z|^(depth - 1) overflows at the cut, which raised a bare OverflowError
+    # from _find_cut; at 3.1 and 5.2 a slot weight still overflows at the
+    # pulled-in cut, which leaked numpy warnings and an inf integrand.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [3.1, 5.1, 5.2, 7.1, 7.2, 9.1, 9.2, 9.3,
+                                       11.1, 11.2, 11.3, 11.4])
     def test_slow_logstep_tail_at_the_top_order_is_typed(self, alpha):
         model = catalog("logstep", alpha=alpha)
-        try:
+        with pytest.raises(DivergentTail):
             green_series(model, 1.5, 0.8, max_valid_order(model))
-        except LowkGreenError:
-            pass
 
     @pytest.mark.parametrize("signs", [(1,), (-1, 1, 1)])
     def test_empty_span_is_zero(self, signs):

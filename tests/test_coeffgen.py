@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import shichi
 
-from lowkgreen import assembler, brackets
+from lowkgreen import assembler, brackets, coeffgen
 from lowkgreen.brackets import BracketKind, QuadratureConfig
 from lowkgreen.coeffgen import (
     ORDER_CAP,
@@ -18,6 +18,7 @@ from lowkgreen.coeffgen import (
     btilde_terms,
     eval_coeff,
     family_coefficients,
+    gamma_coefficients,
     gamma_series,
     p_coeff,
     term_table,
@@ -260,6 +261,74 @@ class TestGammaSeries:
             gamma_series(LaurentSeries(1, [0.0, 0.0, 1.0], trunc=3))
 
 
+def _reference_gammas(model, lo, hi, side, pts, top):
+    """{order: gamma_n at pts}: each position's odd b~ series inverted by
+    ``gamma_series``."""
+    m = (top + 2) | 1
+    b = {n: fn(pts) for n, fn in family_coefficients(
+        model, CFG, lo, hi, Family.BTILDE, side, m).items()}
+    out = {n: np.empty(pts.size) for n in range(-1, top + 1, 2)}
+    for i in range(pts.size):
+        g = gamma_series(LaurentSeries(
+            1, [b[n][i] if n % 2 else 0.0 for n in range(1, m + 2)], trunc=m + 1))
+        for n in out:
+            out[n][i] = g.coeff(n).real
+    return out
+
+
+#: (model, side) pairs whose brackets start where V -> -infinity
+GAMMA_CASES = [
+    pytest.param(lambda: catalog("sqrtwell"), Side.LEFT, id="sqrtwell"),
+    pytest.param(neg_exponential_model, Side.LEFT, id="neg-exponential"),
+    pytest.param(lambda: catalog("sqrtwell").reflected(), Side.RIGHT,
+                 id="sqrtwell-reflected"),
+]
+
+
+class TestGammaCoefficients:
+    """The array recursion against one ``gamma_series`` per position."""
+
+    @pytest.mark.parametrize("make,side", GAMMA_CASES)
+    def test_matches_per_position_inversion(self, make, side):
+        model = make()
+        lo, hi, top = -0.4, 1.2, 7
+        pts = np.linspace(lo, hi, 24)
+        fns = gamma_coefficients(model, CFG, lo, hi, side, top)
+        assert list(fns) == [-1, 1, 3, 5, 7]
+        want = _reference_gammas(model, lo, hi, side, pts, top)
+        for n, fn in fns.items():
+            got = fn(pts)
+            scale = np.max(np.abs(want[n]))
+            assert np.max(np.abs(got - want[n])) <= 1e-13 * scale, n
+            # no state survives a call: the same positions give the same bytes
+            assert fn(pts).tobytes() == got.tobytes()
+
+    def test_expansion_inverts_no_series(self, monkeypatch):
+        def refuse(series):
+            raise AssertionError("a Laurent series was inverted per position")
+
+        monkeypatch.setattr(coeffgen, "ls_invert", refuse)
+        res = assembler.green_series(catalog("sqrtwell"), 1.0, -0.5, 4, CFG)
+        assert res.N == 4
+
+    def test_vanishing_lead_at_one_position(self, monkeypatch):
+        real = coeffgen.family_coefficients
+        x, y = 0.45, 0.0
+
+        def zero_b1_at_y(model, cfg, lo, hi, family, side, top):
+            fns = real(model, cfg, lo, hi, family, side, top)
+            if family is Family.BTILDE:
+                b1 = fns[1]
+                fns[1] = lambda z: np.where(np.asarray(z) == y, 0.0, b1(z))
+            return fns
+
+        model = neg_exponential_model()
+        assembler.green_series(model, x, y, 1, CFG)
+        monkeypatch.setattr(coeffgen, "family_coefficients", zero_b1_at_y)
+        with pytest.raises(ZeroLeadingCoefficient, match="z=0"):
+            assembler.green_series(model, x, y, 1, CFG)
+
+
 #: the family whose brackets start from an end of each kind
 START_FAMILY = {EndpointKind.FINITE_LIMIT: Family.A,
                 EndpointKind.PLUS_INFINITY: Family.B,
@@ -334,7 +403,7 @@ class TestFamilyRecursion:
                 scale = sum(np.abs(v) for v in terms)
                 assert np.all(np.abs(fn(pts) - want[n]) <= tol * scale), (side, n)
             if family is Family.BTILDE:
-                # the gamma orders, inverted as _GammaField does
+                # the gamma orders, one inverted series per position
                 m = max(got)
                 for i in range(pts.size):
                     g_got, g_want = (
